@@ -25,10 +25,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (BackwardSolverError, ConfigError, EvaluationError,
-                     RfbsdeError, SimulationError, StabilityError)
+from .errors import ConfigError, RfbsdeError
 from .hjb import (SpaceTimeGrid, candidate_surface, residual,
-                  solve_obstacle_hjb, write_surface_csv)
+                  solve_obstacle_hjb, write_grid_csv, write_surface_csv)
 from .model import ProbeGrid, build_model, validate_assumptions
 from .rbsde import SolverConfig, cost_functional, tree_oracle
 from .simulate import OpenLoopControl, TimeGrid
@@ -60,7 +59,6 @@ DEFAULTS = {
     "assumptions": {"t_min": 0.0, "t_max": 1.0, "x_min": -5.0, "x_max": 5.0,
                     "points": 9},
     "output": {"directory": "out"},
-    "workers": 1,
 }
 
 _CANDIDATE_FOR = {"example-classical": "candidate-classical",
@@ -113,8 +111,7 @@ def _apply_overrides(cfg, pairs, prefix=""):
     return cfg
 
 
-def load_config(path, sets=None, tols=None, seed=None, out=None, workers=None,
-                base=None):
+def load_config(path, sets=None, tols=None, seed=None, out=None, base=None):
     cfg = copy.deepcopy(DEFAULTS if base is None else base)
     if path is not None:
         with open(path) as fh:
@@ -128,14 +125,12 @@ def load_config(path, sets=None, tols=None, seed=None, out=None, workers=None,
         cfg["mc"]["seed"] = int(seed)
     if out is not None:
         cfg["output"]["directory"] = out
-    if workers is not None:
-        cfg["workers"] = int(workers)
     return cfg
 
 
 def _config_hash(cfg):
-    # hash the computation inputs; output location and worker hints are not
-    payload = {k: v for k, v in cfg.items() if k not in ("output", "workers")}
+    # hash the computation inputs; the output location is not one
+    payload = {k: v for k, v in cfg.items() if k != "output"}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
 
@@ -165,7 +160,6 @@ class _Run:
             "artifacts": sorted(self.artifacts),
             "timings_s": {**self.timings, "total": round(time.time() - self._t0, 3)},
             "version": __version__,
-            "workers": self.cfg["workers"],
             **self.extra,
         }
         p = self.out / "manifest.json"
@@ -218,11 +212,12 @@ def _pde_grid(cfg, model):
                          x_steps=int(p["x_steps"]))
 
 
-def _surface_for(cfg, model):
-    if cfg["verify"]["surface"] == "candidate":
-        name = _CANDIDATE_FOR.get(model.name)
-        if name is not None:
-            return candidate_surface(name, _pde_grid(cfg, model))
+def _surface_for(cfg, model, choice):
+    """The catalog closed form if ``choice`` is 'candidate' and one exists,
+    else the PDE solve."""
+    name = _CANDIDATE_FOR.get(model.name)
+    if choice == "candidate" and name is not None:
+        return candidate_surface(name, _pde_grid(cfg, model))
     p = cfg["pde"]
     return solve_obstacle_hjb(model, _pde_grid(cfg, model),
                               scheme=p["scheme"], cfl=p["cfl"],
@@ -234,26 +229,17 @@ def cmd_solve(cfg):
     run = _Run(cfg, "solve")
     model = _model_from(cfg)
     grid = _pde_grid(cfg, model)
-    p = cfg["pde"]
+    choice = cfg["pde"]["surface"]
+    if choice == "candidate" and model.name not in _CANDIDATE_FOR:
+        raise ConfigError(f"no candidate surface for model '{model.name}'")
     t0 = time.time()
-    if p["surface"] == "candidate":
-        name = _CANDIDATE_FOR.get(model.name)
-        if name is None:
-            raise ConfigError(f"no candidate surface for model '{model.name}'")
-        surface = candidate_surface(name, grid)
-    else:
-        surface = solve_obstacle_hjb(model, grid, scheme=p["scheme"],
-                                     cfl=p["cfl"], boundary=p["boundary"],
-                                     penalty_level=p["penalty_level"])
+    surface = _surface_for(cfg, model, choice)
     run.timings["solve"] = round(time.time() - t0, 3)
     write_surface_csv(surface, run.path("surface.csv"))
 
     res = residual(surface, model)
-    with open(run.path("residual.csv"), "w") as fh:
-        fh.write("# residual field (NaN at edges and kink columns)\n")
-        fh.write("time," + ",".join(repr(float(x)) for x in grid.xs) + "\n")
-        for i, t in enumerate(grid.times):
-            fh.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in res[i]) + "\n")
+    write_grid_csv(run.path("residual.csv"),
+                   ["residual field (NaN at edges and kink columns)"], grid, res)
 
     law = extract_feedback(surface, model)
     write_law_csv(law, run.path("law.csv"))
@@ -290,7 +276,7 @@ def cmd_cost(cfg):
                               _solver_config(cfg))
         value, stderr = est.value, est.stderr
     elif method == "feedback":
-        surface = _surface_for(cfg, model)
+        surface = _surface_for(cfg, model, cfg["verify"]["surface"])
         law = extract_feedback(surface, model)
         grid = TimeGrid(float(mc["start_time"]), model.horizon, int(mc["steps"]))
         est = evaluate_feedback(model, law, float(mc["start_time"]),
@@ -309,12 +295,8 @@ def cmd_cost(cfg):
 
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"
            f"{u0!r},{value!r},{stderr!r},{mc['seed']}\n")
-    path = run.path("cost.csv")
-    header = "model,method,start_time,start_state,control,value,stderr,seed\n"
-    exists = path.exists()
-    with open(path, "a") as fh:
-        if not exists:
-            fh.write(header)
+    with open(run.path("cost.csv"), "w") as fh:
+        fh.write("model,method,start_time,start_state,control,value,stderr,seed\n")
         fh.write(row)
     run.finish()
     print(f"J = {value:.6g} +/- {stderr:.2g}")
@@ -338,13 +320,16 @@ def cmd_verify(cfg):
     mc = cfg["mc"]
     start_time = float(mc["start_time"])
     start_state = float(mc["start_state"])
-    surface = _surface_for(cfg, model)
-
-    if v["mode"] == "classical":
+    tr = v["triple"]
+    triple = (float(tr["time_slope"]), float(tr["gradient"]), float(tr["curvature"]))
+    surface = _surface_for(cfg, model, v["surface"])
+    if v["mode"] in ("classical", "feedback"):
         if v["constant_law"] is not None:
             law = FeedbackLaw.constant(float(v["constant_law"]), model.control_set)
         else:
             law = extract_feedback(surface, model)
+
+    if v["mode"] == "classical":
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         vcfg.battery_random,
                                         vcfg.battery_switches)
@@ -354,9 +339,6 @@ def cmd_verify(cfg):
         u0 = v["control"]
         if u0 is None:
             u0 = model.control_set.bounds[0][0]
-        tr = v["triple"]
-        triple = (float(tr["time_slope"]), float(tr["gradient"]),
-                  float(tr["curvature"]))
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         min(vcfg.battery_random, 5),
                                         vcfg.battery_switches)
@@ -365,19 +347,10 @@ def cmd_verify(cfg):
             OpenLoopControl.constant(float(u0)),
             lambda s, x: triple, vcfg, battery=battery)
     elif v["mode"] == "feedback":
-        if v["constant_law"] is not None:
-            law = FeedbackLaw.constant(float(v["constant_law"]), model.control_set)
-        else:
-            law = extract_feedback(surface, model)
         if v["tables"] == "surface":
             tables = tables_from_surface(surface)
         else:
-            tr = v["triple"]
-            shape = surface.values.shape
-            tables = TripleTables(
-                time_slope=np.full(shape, float(tr["time_slope"])),
-                gradient=np.full(shape, float(tr["gradient"])),
-                curvature=np.full(shape, float(tr["curvature"])))
+            tables = TripleTables(*(np.full(surface.values.shape, c) for c in triple))
         report = verify_feedback_optimality(model, surface, law, tables,
                                             start_time, start_state, vcfg)
     else:
@@ -461,9 +434,6 @@ def build_parser():
         p.add_argument("--config", default=None, help="YAML config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker hint recorded in the manifest; the "
-                            "numerics are vectorized")
         p.add_argument("--tol", action="append", default=None,
                        metavar="KEY=VAL", help="tolerance override")
         p.add_argument("--set", action="append", default=None, dest="sets",
@@ -484,8 +454,7 @@ def main(argv=None):
                     f"{sorted(_PAPER_PRESETS)}")
             base = _merge(DEFAULTS, _PAPER_PRESETS[args.example_id])
         cfg = load_config(args.config, sets=args.sets, tols=args.tol,
-                          seed=args.seed, out=args.out, workers=args.workers,
-                          base=base)
+                          seed=args.seed, out=args.out, base=base)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "cost":
@@ -498,12 +467,6 @@ def main(argv=None):
     except (ConfigError, yaml.YAMLError, FileNotFoundError) as exc:
         print(f"ERROR[config]: {exc}", file=sys.stderr)
         return 2
-    except StabilityError as exc:
-        print(f"ERROR[numerical]: {exc}", file=sys.stderr)
-        return 3
-    except (BackwardSolverError, SimulationError, EvaluationError) as exc:
-        print(f"ERROR[numerical]: {exc}", file=sys.stderr)
-        return 3
     except RfbsdeError as exc:
         print(f"ERROR[numerical]: {exc}", file=sys.stderr)
         return 3
@@ -511,3 +474,7 @@ def main(argv=None):
 
 def console_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, EvaluationError, KinkColumnError, StabilityError, BackwardSolverError
+from .rbsde import _barrier_resolve
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,21 @@ class SpaceTimeGrid:
     @property
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.x_steps + 1)
+
+    def nearest_node(self, t, x):
+        """(time index, state columns) of the grid nodes nearest to (t, x)."""
+        i = int(round(min(max(float(t), 0.0), self.horizon) / self.dt))
+        j = np.rint((np.asarray(x, dtype=float) - self.x_min) / self.dx).astype(int)
+        return i, np.clip(j, 0, self.x_steps)
+
+    def columns_near(self, points):
+        """State columns within half a cell of the given points (kink location)."""
+        cols = []
+        for x in points:
+            j = int(round((x - self.x_min) / self.dx))
+            if 0 <= j <= self.x_steps and abs(self.xs[j] - x) <= 0.5 * self.dx:
+                cols.append(j)
+        return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,19 @@ class ValueSurface:
         right = (w[j + 1] - w[j]) / dx if j < len(w) - 1 else left
         return float(left), float(right)
 
+    def expansion_rows(self, i):
+        """(w_t, w_x, w_xx) at time index i, total at kink columns.
+
+        At a declared kink the gradient slot takes the midpoint of the
+        one-sided slopes and the curvature slot zero.
+        """
+        wt, wx, wxx = self.derivative_rows(i)
+        for j in self.kink_columns:
+            left, right = self.one_sided_slopes(i, j)
+            wx[j] = 0.5 * (left + right)
+            wxx[j] = 0.0
+        return wt, wx, wxx
+
 
 @dataclass(frozen=True)
 class HamiltonianQuery:
@@ -157,75 +186,63 @@ class HamiltonianQuery:
     control: float
 
 
-def _finite(tag, arr):
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError(f"non-finite {tag} evaluation")
-    return arr
+def control_grid(model):
+    """The control search grid; the solvers take one control coordinate."""
+    u_grid = np.atleast_1d(model.control_set.points())
+    if u_grid.ndim > 1:
+        raise ConfigError("only one control coordinate is supported")
+    return u_grid
+
+
+def coefficients(model, t, x, y, p, u):
+    """(sigma, b, f) with f taken at z = p * sigma, broadcast over x and u.
+
+    A state row against a control column gives the (controls x states)
+    tables in one call; aligned per-path arrays give per-path values.
+    """
+    shape = np.broadcast(x, u).shape
+    sig = np.broadcast_to(np.asarray(model.diffusion(t, x, u), dtype=float), shape)
+    b = np.broadcast_to(np.asarray(model.drift(t, x, u), dtype=float), shape)
+    f = np.broadcast_to(np.asarray(model.driver(t, x, y, p * sig, u), dtype=float), shape)
+    return sig, b, f
+
+
+def _assemble(coef, p, pp):
+    """H = (1/2) sigma^2 pp + b p + f from the coefficients."""
+    sig, b, f = coef
+    return 0.5 * sig * sig * pp + b * p + f
 
 
 def hamiltonian(model, query):
     """Generator-plus-driver value at one (time, state, expansion, control)."""
-    r, x, u = query.time, query.state, query.control
-    if not model.control_set.contains(u):
-        raise ConfigError(f"control {u} outside the control set")
-    sig = _finite("diffusion", model.diffusion(r, x, u))
-    b = _finite("drift", model.drift(r, x, u))
-    if model.state_dim == 1:
-        second = 0.5 * float(sig) ** 2 * query.curvature
-        first = query.gradient * float(b)
-        zslot = query.gradient * float(sig)
-    else:
-        a = 0.5 * sig @ sig.T
-        second = float(np.trace(a @ np.asarray(query.curvature)))
-        first = float(np.dot(query.gradient, b))
-        zslot = np.asarray(query.gradient) @ sig
-    f = _finite("driver", model.driver(r, x, query.value, zslot, u))
-    return float(second + first + f)
+    control_grid(model)  # refuses product control sets
+    if not model.control_set.contains(query.control):
+        raise ConfigError(f"control {query.control} outside the control set")
+    coef = coefficients(model, query.time, query.state, query.value,
+                        query.gradient, query.control)
+    for tag, arr in zip(("diffusion", "drift", "driver"), coef):
+        if not np.all(np.isfinite(arr)):
+            raise EvaluationError(f"non-finite {tag} evaluation")
+    return float(_assemble(coef, query.gradient, query.curvature))
 
 
 def _hamiltonian_grid(model, t, x_row, y_row, p_row, pp_row, u_grid):
-    """H on (controls x states); broadcast when coefficients allow, else loop."""
-    x_row = np.asarray(x_row, dtype=float)
-    shape = (len(u_grid), len(x_row))
-    try:
-        ucol = np.asarray(u_grid, dtype=float)[:, None]
-        sig = np.broadcast_to(np.asarray(
-            model.diffusion(t, x_row[None, :], ucol), dtype=float), shape)
-        b = np.broadcast_to(np.asarray(
-            model.drift(t, x_row[None, :], ucol), dtype=float), shape)
-        f = np.broadcast_to(np.asarray(
-            model.driver(t, x_row[None, :], y_row[None, :],
-                         p_row[None, :] * sig, ucol), dtype=float), shape)
-        return 0.5 * sig * sig * pp_row[None, :] + b * p_row[None, :] + f
-    except (ValueError, TypeError):
-        rows = []
-        for u in np.asarray(u_grid, dtype=float):
-            sig = np.broadcast_to(np.asarray(
-                model.diffusion(t, x_row, u), dtype=float), x_row.shape)
-            b = np.broadcast_to(np.asarray(
-                model.drift(t, x_row, u), dtype=float), x_row.shape)
-            f = np.broadcast_to(np.asarray(
-                model.driver(t, x_row, y_row, p_row * sig, u), dtype=float),
-                x_row.shape)
-            rows.append(0.5 * sig * sig * pp_row + b * p_row + f)
-        return np.stack(rows)
+    """H on (controls x states) in one broadcast call."""
+    coef = coefficients(model, t, np.asarray(x_row, dtype=float)[None, :],
+                        y_row[None, :], p_row[None, :],
+                        np.asarray(u_grid, dtype=float)[:, None])
+    return _assemble(coef, p_row, pp_row)
 
 
 def inf_hamiltonian(model, t, x, y, p, pp):
     """Grid infimum of the Hamiltonian over controls, with the argmin set.
 
     Ties within 1e-12 * (1 + |minimum|) are kept; the canonical minimizer is
-    the smallest control (lexicographic for product sets, which is the grid
-    order produced by the control set).
+    the smallest control on the grid.
     """
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        values = np.array([hamiltonian(model, HamiltonianQuery(t, x, y, p, pp, u))
-                           for u in u_grid])
-    else:
-        values = _hamiltonian_grid(model, t, np.array([x]), np.array([y]),
-                                   np.array([p]), np.array([pp]), u_grid)[:, 0]
+    u_grid = control_grid(model)
+    values = _hamiltonian_grid(model, t, np.array([x]), np.array([y]),
+                               np.array([p]), np.array([pp]), u_grid)[:, 0]
     if not np.all(np.isfinite(values)):
         raise EvaluationError("non-finite Hamiltonian on the control grid")
     vmin = float(values.min())
@@ -236,9 +253,7 @@ def inf_hamiltonian(model, t, x, y, p, pp):
 
 def _coefficient_bounds(model, grid):
     """Sampled sup of sigma^2 and |b| over the box, for the step-size bound."""
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        u_grid = u_grid[:, 0]
+    u_grid = control_grid(model)
     s2max, bmax = 0.0, 0.0
     for t in (0.0, 0.5 * grid.horizon, grid.horizon):
         for u in u_grid:
@@ -260,15 +275,6 @@ def _fill_edges(w, boundary):
         raise ConfigError(f"unknown boundary rule '{boundary}'")
 
 
-def _kink_columns_for(model, grid):
-    cols = []
-    for kink in model.value_kinks:
-        j = int(round((kink - grid.x_min) / grid.dx))
-        if 0 <= j <= grid.x_steps and abs(grid.xs[j] - kink) <= 0.5 * grid.dx:
-            cols.append(j)
-    return tuple(cols)
-
-
 def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
                        boundary="extrap2", penalty_level=None,
                        policy_tol=1e-9, policy_budget=80):
@@ -282,8 +288,6 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
     by the soft penalty resolve, which is how the penalty approximation of
     the variational inequality is exposed for convergence studies.
     """
-    if model.state_dim != 1:
-        raise ConfigError("the PDE solver supports scalar state only")
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
     if scheme == "explicit":
@@ -296,15 +300,8 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
         raise ConfigError("scheme must be 'explicit' or 'implicit'")
     return ValueSurface(grid=grid, values=values,
                         provenance=f"computed({meta})",
-                        kink_columns=_kink_columns_for(model, grid),
+                        kink_columns=grid.columns_near(model.value_kinks),
                         model_name=model.name)
-
-
-def _project(w, barrier, penalty_level, dt):
-    if penalty_level is None:
-        return np.minimum(w, barrier)
-    over = w - barrier
-    return np.where(over <= 0.0, w, barrier + over / (1.0 + penalty_level * dt))
 
 
 def _solve_explicit(model, grid, cfl, boundary, penalty_level):
@@ -319,9 +316,7 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
     if cfl not in ("auto", "strict"):
         raise ConfigError("cfl must be 'auto' or 'strict'")
 
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        raise ConfigError("the PDE solver supports one control coordinate")
+    u_grid = control_grid(model)
     times = grid.times
     values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
@@ -340,7 +335,7 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
             w_new[1:-1] = w[1:-1] + sub_dt * h_rows.min(axis=0)
             _fill_edges(w_new, boundary)
             barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
-            w = _project(w_new, barrier, penalty_level, sub_dt)
+            w = _barrier_resolve(w_new, barrier, penalty_level, sub_dt)
             if not np.all(np.isfinite(w)):
                 raise BackwardSolverError(
                     f"explicit scheme produced non-finite values near t={t_new:.4g}")
@@ -354,14 +349,13 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
 def _solve_policy_iteration(model, grid, boundary, penalty_level,
                             policy_tol, policy_budget):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        raise ConfigError("the PDE solver supports one control coordinate")
+    ucol = control_grid(model)[:, None]
     times = grid.times
     n = grid.x_steps + 1
     values = np.empty((grid.t_steps + 1, n))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
     x_int = xs[1:-1]
+    cols = np.arange(n - 2)
 
     for i in range(grid.t_steps - 1, -1, -1):
         target = values[i + 1]
@@ -372,15 +366,10 @@ def _solve_policy_iteration(model, grid, boundary, penalty_level,
         for _ in range(policy_budget):
             wx = (w[2:] - w[:-2]) / (2 * dx)
             wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-            h_rows = _hamiltonian_grid(model, t_new, x_int, w[1:-1], wx, wxx, u_grid)
-            u_star = u_grid[np.argmin(h_rows, axis=0)]
-            sig = np.broadcast_to(np.asarray(
-                model.diffusion(t_new, x_int, u_star), dtype=float), x_int.shape)
-            b = np.broadcast_to(np.asarray(
-                model.drift(t_new, x_int, u_star), dtype=float), x_int.shape)
-            f = np.broadcast_to(np.asarray(
-                model.driver(t_new, x_int, w[1:-1], wx * sig, u_star),
-                dtype=float), x_int.shape)
+            coef = coefficients(model, t_new, x_int[None, :], w[None, 1:-1],
+                                wx[None, :], ucol)
+            k = np.argmin(_assemble(coef, wx, wxx), axis=0)
+            sig, b, f = (c[k, cols] for c in coef)
             a = 0.5 * sig * sig
             # banded system, bandwidths (2,2): interior rows implicit in the
             # generator, edge rows impose linear extrapolation
@@ -399,7 +388,7 @@ def _solve_policy_iteration(model, grid, boundary, penalty_level,
             ab[4, -3] = 1.0
             rhs[-1] = 0.0
             w_new = solve_banded((2, 2), ab, rhs)
-            w_new = _project(w_new, barrier, penalty_level, dt)
+            w_new = _barrier_resolve(w_new, barrier, penalty_level, dt)
             shift = float(np.max(np.abs(w_new - w)))
             w = w_new
             if shift <= policy_tol * (1.0 + float(np.max(np.abs(w)))):
@@ -420,7 +409,7 @@ def residual(surface, model):
     """
     grid = surface.grid
     out = np.full_like(surface.values, np.nan)
-    u_grid = np.atleast_1d(model.control_set.points())
+    u_grid = control_grid(model)
     xs = grid.xs
     for i in range(1, grid.t_steps):
         wt, wx, wxx = surface.derivative_rows(i)
@@ -470,27 +459,32 @@ def candidate_surface(name, grid):
     form = factory(grid.horizon)
     tt, xx = np.meshgrid(grid.times, grid.xs, indexing="ij")
     values = np.asarray(form(tt, xx), dtype=float)
-    cols = []
-    for kink in kinks:
-        j = int(round((kink - grid.x_min) / grid.dx))
-        if 0 <= j <= grid.x_steps and abs(grid.xs[j] - kink) <= 0.5 * grid.dx:
-            cols.append(j)
     return ValueSurface(grid=grid, values=values,
                         provenance=f"closed-form candidate '{name}'",
-                        kink_columns=tuple(cols), exact_form=form,
+                        kink_columns=grid.columns_near(kinks), exact_form=form,
                         model_name=name)
 
 
-def write_surface_csv(surface, path):
-    """Matrix dump: one row per time node, one column per state node."""
-    grid = surface.grid
+def write_grid_csv(path, comments, grid, rows):
+    """Matrix dump: ``# `` comment lines, then one row per time node and one
+    column per state node; ``rows=None`` writes the comments only."""
     with open(path, "w") as fh:
-        fh.write(f"# provenance: {surface.provenance}\n")
-        fh.write(f"# model: {surface.model_name}\n")
-        fh.write(f"# horizon={grid.horizon!r} x_min={grid.x_min!r} "
-                 f"x_max={grid.x_max!r} t_steps={grid.t_steps} x_steps={grid.x_steps}\n")
-        fh.write(f"# kink_columns: {list(surface.kink_columns)}\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+        if rows is None:
+            return
         fh.write("time," + ",".join(repr(float(x)) for x in grid.xs) + "\n")
         for i, t in enumerate(grid.times):
             fh.write(repr(float(t)) + "," +
-                     ",".join(repr(float(v)) for v in surface.values[i]) + "\n")
+                     ",".join(repr(float(v)) for v in rows[i]) + "\n")
+
+
+def write_surface_csv(surface, path):
+    """Surface matrix with provenance, grid and kink columns in the header."""
+    grid = surface.grid
+    write_grid_csv(path, [
+        f"provenance: {surface.provenance}",
+        f"model: {surface.model_name}",
+        f"horizon={grid.horizon!r} x_min={grid.x_min!r} x_max={grid.x_max!r} "
+        f"t_steps={grid.t_steps} x_steps={grid.x_steps}",
+        f"kink_columns: {list(surface.kink_columns)}"], grid, surface.values)

@@ -5,16 +5,16 @@ cost and obstacle of one control problem, together with the compact control
 set and declared regularity flags.  Models are immutable and safe to share
 across workers; every operation here is pure given its seed.
 
-Coefficient callables follow the scalar-state convention used throughout the
-package: for ``state_dim == noise_dim == 1`` they receive plain floats or
-numpy arrays (broadcasting) and must return values of the same shape.  For
-vector states, drift maps ``(r, x, u)`` with ``x`` of shape ``(M, n)`` to
-``(M, n)`` and diffusion to ``(M, n, d)``.
+State and noise are scalar.  Coefficient callables receive plain floats or
+numpy arrays and must broadcast: called with a state row of shape ``(1, n)``
+and a control column of shape ``(K, 1)`` they return values that broadcast to
+``(K, n)``, which is how the Hamiltonian is evaluated over controls x states
+in one call.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -113,8 +113,6 @@ class ControlModel:
     obstacle: Callable
     control_set: ControlSet
     horizon: float
-    state_dim: int = 1
-    noise_dim: int = 1
     declared_assumptions: Mapping = field(default_factory=dict)
     # x-locations where the value function of this instance is known to be
     # non-differentiable (used to flag kink columns on solved surfaces).
@@ -123,19 +121,6 @@ class ControlModel:
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ConfigError("horizon must be a positive real")
-        if self.state_dim < 1 or self.noise_dim < 1:
-            raise ConfigError("state_dim and noise_dim must be positive")
-
-    def half_covariance(self, r, x, u):
-        """Half outer product of the diffusion: (1/2) * sigma sigma^T.
-
-        Scalar models return a plain array; vector models an (n, n) matrix
-        per input row.
-        """
-        sig = np.asarray(self.diffusion(r, x, u), dtype=float)
-        if self.state_dim == 1 and self.noise_dim == 1:
-            return 0.5 * sig * sig
-        return 0.5 * np.einsum("...ij,...kj->...ik", sig, sig)
 
 
 @dataclass(frozen=True)
@@ -176,7 +161,6 @@ class ProbeGrid:
 
     time_bounds: tuple
     state_bounds: tuple
-    control_bounds: Optional[tuple] = None
     value_bounds: tuple = (-5.0, 5.0)
     points: int = 9
 
@@ -229,12 +213,9 @@ def validate_assumptions(model, probe, seed=0):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     ts = probe.axis(probe.time_bounds)
     xs = probe.axis(probe.state_bounds)
-    if probe.control_bounds is not None:
-        us = probe.axis(probe.control_bounds)
-    else:
-        us = np.atleast_1d(model.control_set.points())
-        if us.ndim > 1:
-            us = us[:, 0]
+    us = np.atleast_1d(model.control_set.points())
+    if us.ndim > 1:
+        us = us[:, 0]
     ys = probe.axis(probe.value_bounds)
     zs = probe.axis(probe.value_bounds)
     # a few random cross sections keep the lattice from hiding anisotropy
@@ -309,6 +290,15 @@ def validate_assumptions(model, probe, seed=0):
 # Built-in instances
 # ---------------------------------------------------------------------------
 
+def _proportional_noise(r, x, u):
+    # broadcast against u so control-grid sweeps get full-shaped output
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))[0] + 0.0
+
+
+def _state_terminal(x):
+    return np.asarray(x, dtype=float) + 0.0
+
+
 def example_classical(horizon=1.0, control_points=5):
     """Scalar instance with a smooth value surface.
 
@@ -322,15 +312,8 @@ def example_classical(horizon=1.0, control_points=5):
     def drift(r, x, u):
         return x + u
 
-    def diffusion(r, x, u):
-        # broadcast against u so control-grid sweeps get full-shaped output
-        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))[0] + 0.0
-
     def driver(r, x, y, z, u):
         return y + u
-
-    def terminal(x):
-        return np.asarray(x, dtype=float) + 0.0
 
     def obstacle(r, x):
         return np.asarray(x, dtype=float) * scale
@@ -338,9 +321,9 @@ def example_classical(horizon=1.0, control_points=5):
     return ControlModel(
         name="example-classical",
         drift=drift,
-        diffusion=diffusion,
+        diffusion=_proportional_noise,
         driver=driver,
-        terminal=terminal,
+        terminal=_state_terminal,
         obstacle=obstacle,
         control_set=ControlSet.interval(0.0, 1.0, control_points),
         horizon=float(horizon),
@@ -361,14 +344,8 @@ def example_viscosity(horizon=1.0, control_points=5):
     def drift(r, x, u):
         return np.asarray(x, dtype=float) * np.asarray(u, dtype=float)
 
-    def diffusion(r, x, u):
-        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))[0] + 0.0
-
     def driver(r, x, y, z, u):
         return -np.abs(y)
-
-    def terminal(x):
-        return np.asarray(x, dtype=float) + 0.0
 
     def obstacle(r, x):
         x = np.asarray(x, dtype=float)
@@ -377,9 +354,9 @@ def example_viscosity(horizon=1.0, control_points=5):
     return ControlModel(
         name="example-viscosity",
         drift=drift,
-        diffusion=diffusion,
+        diffusion=_proportional_noise,
         driver=driver,
-        terminal=terminal,
+        terminal=_state_terminal,
         obstacle=obstacle,
         control_set=ControlSet.interval(1.0, 2.0, control_points),
         horizon=float(horizon),
@@ -467,7 +444,4 @@ def build_model(name, horizon=1.0, control_points=5):
     except KeyError:
         raise ConfigError(
             f"unknown model '{name}'; known: {sorted(MODEL_CATALOG)}") from None
-    try:
-        return builder(horizon=horizon, control_points=control_points)
-    except TypeError:
-        return builder(horizon=horizon)
+    return builder(horizon=horizon, control_points=control_points)

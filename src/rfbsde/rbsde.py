@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackwardSolverError, ConfigError
-from .simulate import simulate_paths
+from .simulate import law_controls, simulate_paths
 
 _DEGENERATE_STD = 1e-12
 
@@ -65,10 +65,6 @@ class RbsdeSolution:
     reflection: np.ndarray
     pushes: np.ndarray
     diagnostics: dict
-
-    @property
-    def initial_value(self):
-        return float(self.value[0, 0])
 
 
 class _ConditionalExpectation:
@@ -119,16 +115,17 @@ class _ConditionalExpectation:
         return means[self._bin_of]
 
 
-def _penalty_resolve(raw, barrier, level, dt):
-    """Solve y + level*dt*(y - barrier)^+ = raw exactly (piecewise linear)."""
+def _barrier_resolve(raw, barrier, penalty_level, dt):
+    """Keep ``raw`` below the barrier: hard projection when penalty_level is
+    None, else the exact solve of y + level*dt*(y - barrier)^+ = raw."""
+    if penalty_level is None:
+        return np.minimum(raw, barrier)
     over = raw - barrier
-    return np.where(over <= 0.0, raw, barrier + over / (1.0 + level * dt))
+    return np.where(over <= 0.0, raw, barrier + over / (1.0 + penalty_level * dt))
 
 
 def _backward_pass(model, ensemble, config, penalty_level):
     """Shared backward induction.  penalty_level=None means hard reflection."""
-    if not ensemble.scalar:
-        raise ConfigError("backward solvers support scalar state/noise only")
     states = ensemble.states
     n_paths, n_nodes = states.shape
     steps = n_nodes - 1
@@ -157,10 +154,7 @@ def _backward_pass(model, ensemble, config, penalty_level):
         for _ in range(budget):
             raw = cont + np.asarray(
                 model.driver(nodes[i], states[:, i], y, z, u), dtype=float) * dt
-            if penalty_level is None:
-                y_new = np.minimum(raw, barrier)
-            else:
-                y_new = _penalty_resolve(raw, barrier, penalty_level, dt)
+            y_new = _barrier_resolve(raw, barrier, penalty_level, dt)
             prev_shift = shift if shift > 0.0 else prev_shift
             shift = float(np.max(np.abs(y_new - y)))
             y = y_new
@@ -230,9 +224,6 @@ class CostEstimate:
     stderr: float
     solution: RbsdeSolution
 
-    def __iter__(self):
-        return iter((self.value, self.stderr))
-
 
 def _path_contributions(model, ensemble, sol):
     """Per-path functional contributions: terminal + integrated driver - push.
@@ -254,7 +245,7 @@ def _path_contributions(model, ensemble, sol):
     return xi
 
 
-def _node0_estimate(model, ensemble, config, seed):
+def _node0_estimate(model, ensemble, config):
     """Node-0 value and a bootstrap standard error over path contributions."""
     sol = solve_reflected(model, ensemble, config)
     value = sol.value[:, 0].mean()
@@ -282,7 +273,7 @@ def cost_functional(model, start_time, start_state, control, grid, n_paths, seed
     """
     ensemble = simulate_paths(model, start_time, start_state, control, grid,
                               n_paths, seed)
-    return _node0_estimate(model, ensemble, config, seed)
+    return _node0_estimate(model, ensemble, config)
 
 
 def tree_oracle(model, start_time, start_state, policy, depth,
@@ -296,8 +287,6 @@ def tree_oracle(model, start_time, start_state, policy, depth,
     error is time discretization.  The tree recombines only when the dynamics
     happen to allow it, hence the depth cap.
     """
-    if model.state_dim != 1 or model.noise_dim != 1:
-        raise ConfigError("tree oracle supports scalar state/noise only")
     depth = int(depth)
     if depth < 1 or depth > 20:
         raise ConfigError("tree depth must lie in 1..20")
@@ -312,13 +301,11 @@ def tree_oracle(model, start_time, start_state, policy, depth,
     controls = []
     for i in range(depth):
         s = levels[i]
-        u = model.control_set.clip(np.asarray(policy(times[i], s), dtype=float))
-        u = np.broadcast_to(u, s.shape).copy()
+        u = law_controls(model, policy, times[i], s)
         controls.append(u)
         b0 = np.asarray(model.drift(times[i], s, u), dtype=float)
         pred = s + b0 * dt
-        u_pred = model.control_set.clip(
-            np.broadcast_to(np.asarray(policy(times[i + 1], pred), dtype=float), s.shape))
+        u_pred = law_controls(model, policy, times[i + 1], pred)
         b1 = np.asarray(model.drift(times[i + 1], pred, u_pred), dtype=float)
         mean = s + 0.5 * (b0 + b1) * dt
         spread = np.abs(np.asarray(model.diffusion(times[i], s, u), dtype=float)) * sq
@@ -329,8 +316,7 @@ def tree_oracle(model, start_time, start_state, policy, depth,
 
     leaf = levels[depth]
     y = np.asarray(model.terminal(leaf), dtype=float)
-    u_leaf = model.control_set.clip(
-        np.broadcast_to(np.asarray(policy(times[depth], leaf), dtype=float), leaf.shape))
+    u_leaf = law_controls(model, policy, times[depth], leaf)
     g = np.asarray(model.driver(times[depth], leaf, y, 0.0 * y, u_leaf), dtype=float)
 
     for i in range(depth - 1, -1, -1):

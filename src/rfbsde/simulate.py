@@ -92,9 +92,8 @@ class OpenLoopControl:
 class PathEnsemble:
     """Euler paths of the controlled state on a shared grid.
 
-    ``states`` has shape (paths, steps+1) for scalar models and
-    (paths, steps+1, n) otherwise; ``increments`` is (paths, steps) or
-    (paths, steps, d); ``controls`` is (paths, steps).
+    ``states`` has shape (paths, steps+1); ``increments`` and ``controls``
+    are (paths, steps).
     """
 
     grid: TimeGrid
@@ -108,22 +107,45 @@ class PathEnsemble:
     def n_paths(self):
         return self.states.shape[0]
 
-    @property
-    def scalar(self):
-        return self.states.ndim == 2
+
+def law_controls(model, law, t, x):
+    """Feedback-law controls at the states ``x``, projected onto the control set."""
+    return model.control_set.clip(
+        np.broadcast_to(np.asarray(law(t, x), dtype=float), np.shape(x)))
 
 
-def _draw_increments(seed, n_paths, steps, noise_dim, dt):
+def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
+    """Euler loop shared by both entry points.
+
+    ``control_at(i, t, x)`` returns the node-i control values for the states
+    ``x``; they are recorded on the ensemble as the per-path control table.
+    """
+    if abs(grid.start - start_time) > 1e-12:
+        raise ConfigError("grid.start must equal the initial time")
+    if grid.end > model.horizon + 1e-12:
+        raise ConfigError("grid.end exceeds the model horizon")
+
+    dt = grid.dt
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    shape = (n_paths, steps) if noise_dim == 1 else (n_paths, steps, noise_dim)
-    return gen.standard_normal(shape) * math.sqrt(dt)
+    dW = gen.standard_normal((n_paths, grid.steps)) * math.sqrt(dt)
+    states = np.empty((n_paths, grid.steps + 1))
+    states[:, 0] = float(np.asarray(start_state).reshape(()))
+    controls = np.empty((n_paths, grid.steps))
+    nodes = grid.nodes
+    for i in range(grid.steps):
+        x = states[:, i]
+        u = control_at(i, nodes[i], x)
+        controls[:, i] = u
+        nxt = x + np.asarray(model.drift(nodes[i], x, u)) * dt \
+            + np.asarray(model.diffusion(nodes[i], x, u)) * dW[:, i]
+        if not np.all(np.isfinite(nxt)):
+            m = int(np.flatnonzero(~np.isfinite(nxt))[0])
+            raise SimulationError(f"non-finite state at path {m}, node {i + 1}")
+        states[:, i + 1] = nxt
 
-
-def _check_finite(x, i):
-    if not np.all(np.isfinite(x)):
-        flat = np.argwhere(~np.isfinite(np.atleast_2d(x)))
-        m = int(flat[0][0])
-        raise SimulationError(f"non-finite state at path {m}, node {i}")
+    return PathEnsemble(grid=grid, states=states, increments=dW,
+                        controls=controls, seed=int(seed),
+                        start_state=np.asarray(start_state, dtype=float))
 
 
 def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed):
@@ -132,44 +154,10 @@ def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed)
     Deterministic given the seed.  Controls outside the model's control set
     are rejected before any path is generated.
     """
-    if abs(grid.start - start_time) > 1e-12:
-        raise ConfigError("grid.start must equal the initial time")
-    if grid.end > model.horizon + 1e-12:
-        raise ConfigError("grid.end exceeds the model horizon")
     if not model.control_set.contains(control.all_values(grid, n_paths)):
         raise SimulationError("control takes values outside the control set")
-
-    scalar = model.state_dim == 1 and model.noise_dim == 1
-    dt = grid.dt
-    dW = _draw_increments(seed, n_paths, grid.steps, model.noise_dim, dt)
-
-    if scalar:
-        states = np.empty((n_paths, grid.steps + 1))
-        states[:, 0] = float(np.asarray(start_state).reshape(()))
-    else:
-        x0 = np.asarray(start_state, dtype=float).reshape(model.state_dim)
-        states = np.empty((n_paths, grid.steps + 1, model.state_dim))
-        states[:, 0, :] = x0
-
-    controls = np.empty((n_paths, grid.steps))
-    nodes = grid.nodes
-    for i in range(grid.steps):
-        u = control.values_at(i, nodes[i], n_paths)
-        controls[:, i] = u
-        x = states[:, i]
-        if scalar:
-            nxt = x + np.asarray(model.drift(nodes[i], x, u)) * dt \
-                + np.asarray(model.diffusion(nodes[i], x, u)) * dW[:, i]
-        else:
-            b = np.asarray(model.drift(nodes[i], x, u), dtype=float)
-            sig = np.asarray(model.diffusion(nodes[i], x, u), dtype=float)
-            nxt = x + b * dt + np.einsum("mnd,md->mn", sig, np.atleast_2d(dW[:, i]).reshape(n_paths, -1))
-        _check_finite(nxt, i + 1)
-        states[:, i + 1] = nxt
-
-    return PathEnsemble(grid=grid, states=states, increments=dW,
-                        controls=controls, seed=int(seed),
-                        start_state=np.asarray(start_state, dtype=float))
+    return _euler(model, start_time, start_state, grid, n_paths, seed,
+                  lambda i, t, x: control.values_at(i, t, n_paths))
 
 
 def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, seed):
@@ -180,43 +168,8 @@ def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, see
     recorded on the ensemble, so downstream solvers treat the result exactly
     like an open-loop run.
     """
-    if abs(grid.start - start_time) > 1e-12:
-        raise ConfigError("grid.start must equal the initial time")
-    if grid.end > model.horizon + 1e-12:
-        raise ConfigError("grid.end exceeds the model horizon")
-
-    scalar = model.state_dim == 1 and model.noise_dim == 1
-    dt = grid.dt
-    dW = _draw_increments(seed, n_paths, grid.steps, model.noise_dim, dt)
-
-    if scalar:
-        states = np.empty((n_paths, grid.steps + 1))
-        states[:, 0] = float(np.asarray(start_state).reshape(()))
-    else:
-        x0 = np.asarray(start_state, dtype=float).reshape(model.state_dim)
-        states = np.empty((n_paths, grid.steps + 1, model.state_dim))
-        states[:, 0, :] = x0
-
-    controls = np.empty((n_paths, grid.steps))
-    nodes = grid.nodes
-    for i in range(grid.steps):
-        x = states[:, i]
-        u = np.broadcast_to(np.asarray(law(nodes[i], x), dtype=float), (n_paths,)).copy()
-        u = model.control_set.clip(u)
-        controls[:, i] = u
-        if scalar:
-            nxt = x + np.asarray(model.drift(nodes[i], x, u)) * dt \
-                + np.asarray(model.diffusion(nodes[i], x, u)) * dW[:, i]
-        else:
-            b = np.asarray(model.drift(nodes[i], x, u), dtype=float)
-            sig = np.asarray(model.diffusion(nodes[i], x, u), dtype=float)
-            nxt = x + b * dt + np.einsum("mnd,md->mn", sig, np.atleast_2d(dW[:, i]).reshape(n_paths, -1))
-        _check_finite(nxt, i + 1)
-        states[:, i + 1] = nxt
-
-    return PathEnsemble(grid=grid, states=states, increments=dW,
-                        controls=controls, seed=int(seed),
-                        start_state=np.asarray(start_state, dtype=float))
+    return _euler(model, start_time, start_state, grid, n_paths, seed,
+                  lambda i, t, x: law_controls(model, law, t, x))
 
 
 @dataclass(frozen=True)
@@ -234,12 +187,8 @@ def moment_check(ensemble, order=2):
     """
     if order not in (2, 4):
         raise ConfigError("order must be 2 or 4")
-    if ensemble.scalar:
-        sup = np.abs(ensemble.states).max(axis=1)
-        x0 = float(np.abs(ensemble.start_state.reshape(())))
-    else:
-        sup = np.linalg.norm(ensemble.states, axis=2).max(axis=1)
-        x0 = float(np.linalg.norm(ensemble.start_state))
+    sup = np.abs(ensemble.states).max(axis=1)
+    x0 = float(np.abs(ensemble.start_state.reshape(())))
     sup_moment = float(np.mean(sup ** order))
     return MomentReport(order=order, sup_moment=sup_moment,
                         growth_ratio=sup_moment / (1.0 + x0 ** order))
@@ -248,17 +197,12 @@ def moment_check(ensemble, order=2):
 def write_ensemble_csv(ensemble, path):
     """Dump paths as CSV with a header documenting grid and seed."""
     nodes = ensemble.grid.nodes
-    n_state = 1 if ensemble.scalar else ensemble.states.shape[2]
-    state_cols = ",".join(f"state{k}" for k in range(n_state)) if n_state > 1 else "state"
     with open(path, "w") as fh:
         fh.write(f"# grid start={ensemble.grid.start!r} end={ensemble.grid.end!r} "
                  f"steps={ensemble.grid.steps} seed={ensemble.seed}\n")
-        fh.write(f"path,node,time,{state_cols},control\n")
+        fh.write("path,node,time,state,control\n")
         for m in range(ensemble.n_paths):
             for i in range(ensemble.grid.steps + 1):
-                if ensemble.scalar:
-                    sv = repr(float(ensemble.states[m, i]))
-                else:
-                    sv = ",".join(repr(float(v)) for v in ensemble.states[m, i])
+                sv = repr(float(ensemble.states[m, i]))
                 u = repr(float(ensemble.controls[m, i])) if i < ensemble.grid.steps else ""
                 fh.write(f"{m},{i},{nodes[i]!r},{sv},{u}\n")

@@ -17,56 +17,40 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import _hamiltonian_grid
+from .hjb import _hamiltonian_grid, control_grid, write_grid_csv
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import simulate_closed_loop
 
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Grid-aligned control table with a lookup rule.
+    """Grid-aligned control table looked up at the nearest node, or a constant.
 
-    ``rule`` is one of ``nearest`` (default for extracted laws), ``bilinear``
-    (interpolate then project onto the control set) or ``constant`` (ignore
-    the table, return ``value``).
+    A law without a table returns ``value`` everywhere; either way the result
+    is projected onto the control set.
     """
 
     table: Optional[np.ndarray]
     grid: Optional[object]
     control_set: object
-    rule: str = "nearest"
-    tie_break: str = "smallest"
     provenance: str = ""
     value: float = 0.0
 
     @classmethod
     def constant(cls, value, control_set):
         return cls(table=None, grid=None, control_set=control_set,
-                   rule="constant", provenance=f"constant({value})",
-                   value=float(value))
+                   provenance=f"constant({value})", value=float(value))
+
+    @property
+    def rule(self):
+        return "constant" if self.table is None else "nearest"
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        if self.rule == "constant":
+        if self.table is None:
             out = np.full_like(x, self.value, dtype=float)
         else:
-            g = self.grid
-            tc = min(max(float(t), 0.0), g.horizon)
-            xc = np.clip(x, g.x_min, g.x_max)
-            if self.rule == "nearest":
-                i = int(round(tc / g.dt))
-                j = np.rint((xc - g.x_min) / g.dx).astype(int)
-                out = self.table[i, np.clip(j, 0, g.x_steps)]
-            elif self.rule == "bilinear":
-                i = min(int(tc / g.dt), g.t_steps - 1)
-                j = np.clip(((xc - g.x_min) / g.dx).astype(int), 0, g.x_steps - 1)
-                at = (tc - i * g.dt) / g.dt
-                ax = (xc - (g.x_min + j * g.dx)) / g.dx
-                v = self.table
-                out = ((1 - at) * (1 - ax) * v[i, j] + (1 - at) * ax * v[i, j + 1]
-                       + at * (1 - ax) * v[i + 1, j] + at * ax * v[i + 1, j + 1])
-            else:
-                raise ConfigError(f"unknown law rule '{self.rule}'")
+            out = self.table[self.grid.nearest_node(t, x)]
         out = self.control_set.clip(out)
         return out if out.shape else float(out)
 
@@ -78,17 +62,11 @@ def extract_feedback(surface, model):
     grid, so the table is deterministic.
     """
     grid = surface.grid
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        raise ConfigError("feedback extraction supports one control coordinate")
+    u_grid = control_grid(model)
     table = np.empty_like(surface.values)
     xs = grid.xs
     for i in range(grid.t_steps + 1):
-        _, wx, wxx = surface.derivative_rows(i)
-        for j in surface.kink_columns:
-            left, right = surface.one_sided_slopes(i, j)
-            wx[j] = 0.5 * (left + right)
-            wxx[j] = 0.0
+        _, wx, wxx = surface.expansion_rows(i)
         rows = _hamiltonian_grid(model, grid.times[i], xs, surface.values[i],
                                  wx, wxx, u_grid)
         vmin = rows.min(axis=0)
@@ -96,7 +74,6 @@ def extract_feedback(surface, model):
         first = np.argmax(rows <= vmin + tol, axis=0)
         table[i] = u_grid[first]
     return FeedbackLaw(table=table, grid=grid, control_set=model.control_set,
-                       rule="nearest", tie_break="smallest",
                        provenance=f"extracted from {surface.provenance} "
                                   f"({len(u_grid)} grid controls)")
 
@@ -115,7 +92,7 @@ def check_law_regularity(law):
     control range across one grid cell, the heuristic signature of an argmin
     switch that breaks the Lipschitz feedback class.
     """
-    if law.rule == "constant" or law.table is None:
+    if law.table is None:
         return LawRegularityReport(0.0, 0.0, True)
     dx = law.grid.dx
     jumps = np.abs(np.diff(law.table, axis=1))
@@ -143,19 +120,12 @@ def evaluate_feedback(model, law, start_time, start_state, grid, n_paths, seed,
             "to evaluate anyway")
     ensemble = simulate_closed_loop(model, law, start_time, start_state, grid,
                                     n_paths, seed)
-    return _node0_estimate(model, ensemble, config, seed)
+    return _node0_estimate(model, ensemble, config)
 
 
 def write_law_csv(law, path):
     """Control table dump with the lookup rule recorded in the header."""
-    with open(path, "w") as fh:
-        fh.write(f"# provenance: {law.provenance}\n")
-        fh.write(f"# rule: {law.rule} tie_break: {law.tie_break}\n")
-        if law.table is None:
-            fh.write(f"# constant: {law.value!r}\n")
-            return
-        g = law.grid
-        fh.write("time," + ",".join(repr(float(x)) for x in g.xs) + "\n")
-        for i, t in enumerate(g.times):
-            fh.write(repr(float(t)) + "," +
-                     ",".join(repr(float(v)) for v in law.table[i]) + "\n")
+    lines = [f"provenance: {law.provenance}", f"rule: {law.rule} tie_break: smallest"]
+    if law.table is None:
+        lines.append(f"constant: {law.value!r}")
+    write_grid_csv(path, lines, law.grid, law.table)

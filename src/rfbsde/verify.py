@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, KinkColumnError
-from .hjb import inf_hamiltonian
+from .hjb import coefficients, control_grid, inf_hamiltonian
 from .rbsde import SolverConfig, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback
@@ -94,6 +94,26 @@ def _fingerprint(payload):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _digest(values):
+    """sha256 of an array's values, for fingerprint payloads."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _law_key(law):
+    """What identifies a feedback law in a fingerprint: table or constant."""
+    return law.value if law.table is None else _digest(law.table)
+
+
+def _route_fingerprint(theorem, model, surface, start_time, start_state,
+                       config, **extra):
+    """Fingerprint of a route's inputs: model, start, sizes, seed, surface."""
+    return _fingerprint({"theorem": theorem, "model": model.name, "t": start_time,
+                         "x": float(np.asarray(start_state).reshape(())),
+                         "paths": config.n_paths, "steps": config.steps,
+                         "seed": config.seed, "surface": _digest(surface.values),
+                         **extra})
+
+
 @dataclass(frozen=True)
 class MembershipProbe:
     """Decreasing-radius sampling plan for one-sided expansion quotients."""
@@ -149,10 +169,6 @@ class MembershipResult:
     radii: tuple
     max_quotients: tuple
     note: str = ""
-
-    @property
-    def slack(self):
-        return max(self.margin, 0.0)
 
 
 def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
@@ -234,10 +250,7 @@ def build_control_battery(model, start_time, seed, n_random=20, n_switch=8):
     control box, the random piecewise-constant processes exercise switching.
     """
     battery = []
-    points = np.atleast_1d(model.control_set.points())
-    if points.ndim > 1:
-        raise ConfigError("control battery supports one control coordinate")
-    for u in points:
+    for u in control_grid(model):
         battery.append((f"const:{u:g}", OpenLoopControl.constant(float(u))))
     lo, hi = model.control_set.bounds[0]
     horizon = model.horizon
@@ -251,6 +264,29 @@ def build_control_battery(model, start_time, seed, n_random=20, n_switch=8):
 
         battery.append((f"random:{k}", OpenLoopControl.from_function(step_fn)))
     return battery
+
+
+def _battery_condition(model, w0, start_time, start_state, battery, grid,
+                       config, name):
+    """Surface value w0 against every battery cost, within noise plus budget.
+
+    Returns the condition record and the per-control (label, value, stderr,
+    slack) rows.
+    """
+    worst = (-math.inf, "")
+    details = []
+    for k, (label, control) in enumerate(battery):
+        est = cost_functional(model, start_time, start_state, control, grid,
+                              config.n_paths, config.seed + 13 * k, config.solver)
+        slack = w0 - est.value - 3.0 * est.stderr - config.bias_budget
+        details.append((label, est.value, est.stderr, slack))
+        if slack > worst[0]:
+            worst = (slack, label)
+    record = ConditionRecord(
+        name=name, slack=worst[0], tolerance=0.0,
+        status="pass" if worst[0] <= 0.0 else "fail",
+        detail=f"worst control {worst[1]} of {len(battery)}")
+    return record, details
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +312,9 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
                                         config.battery_switches)
     w0 = float(np.asarray(surface.value_at(start_time, start_state)))
     grid = TimeGrid(start_time, model.horizon, config.steps)
-
-    worst = (-math.inf, "")
-    details = []
-    for k, (label, control) in enumerate(battery):
-        est = cost_functional(model, start_time, start_state, control, grid,
-                              config.n_paths, config.seed + 13 * k, config.solver)
-        slack = w0 - est.value - 3.0 * est.stderr - config.bias_budget
-        details.append((label, est.value, est.stderr, slack))
-        if slack > worst[0]:
-            worst = (slack, label)
-    cond_a = ConditionRecord(
-        name="battery-lower-bound",
-        slack=worst[0], tolerance=0.0,
-        status="pass" if worst[0] <= 0.0 else "fail",
-        detail=f"worst control {worst[1]} of {len(battery)}")
+    cond_a, details = _battery_condition(model, w0, start_time, start_state,
+                                         battery, grid, config,
+                                         "battery-lower-bound")
 
     law_est = evaluate_feedback(model, candidate_law, start_time, start_state,
                                 grid, config.n_paths, config.seed + 1,
@@ -311,11 +335,9 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
         status="pass" if reg.member else "fail",
         detail=f"lipschitz~{reg.lipschitz_constant:.3g}")
 
-    fp = _fingerprint({"theorem": "classical", "model": model.name,
-                       "t": start_time, "x": float(np.asarray(start_state).reshape(())),
-                       "paths": config.n_paths, "steps": config.steps,
-                       "seed": config.seed, "battery": [b[0] for b in battery],
-                       "budget": config.bias_budget})
+    fp = _route_fingerprint("classical", model, surface, start_time, start_state,
+                            config, battery=[b[0] for b in battery],
+                            budget=config.bias_budget, law=_law_key(candidate_law))
     return VerificationReport(theorem="classical-verification",
                               conditions=(cond_a, cond_b, cond_c),
                               fingerprint=fp,
@@ -364,14 +386,6 @@ def _membership_along_paths(surface, ensemble, candidate_triple, config):
     return counts, worst
 
 
-def _triple_arrays(candidate_triple, s, x_arr):
-    q, p, pp = candidate_triple(s, x_arr)
-    shape = np.shape(x_arr)
-    return (np.broadcast_to(np.asarray(q, dtype=float), shape),
-            np.broadcast_to(np.asarray(p, dtype=float), shape),
-            np.broadcast_to(np.asarray(pp, dtype=float), shape))
-
-
 def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
                             names=("superdifferential-membership",
                                    "martingale-slope-match",
@@ -409,15 +423,12 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         s = float(nodes[i])
         x = ensemble.states[:, i]
         u = ensemble.controls[:, i]
-        q, p, pp = _triple_arrays(candidate_triple, s, x)
-        sig = np.broadcast_to(np.asarray(model.diffusion(s, x, u), dtype=float), x.shape)
-        b = np.broadcast_to(np.asarray(model.drift(s, x, u), dtype=float), x.shape)
+        q, p, pp = candidate_triple(s, x)
+        sig, b, f = coefficients(model, s, x, sol.value[:, i], p, u)
         z = sol.slope[:, i]
         diff = p * sig - z
         num += float(np.sum(diff * diff)) * dt
         den += float(np.sum(z * z)) * dt
-        f = np.broadcast_to(np.asarray(
-            model.driver(s, x, sol.value[:, i], p * sig, u), dtype=float), x.shape)
         integrals += (q + 0.5 * sig * sig * pp + p * b + f) * dt
     if num == 0.0:
         z_slack = 0.0
@@ -436,7 +447,7 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         name=names[2], slack=max(slack_int, 0.0), tolerance=config.zero_tol,
         status="pass" if slack_int <= config.zero_tol else "fail",
         detail=f"integral estimate {mean:.6g} +/- {se:.2g}")
-    return (cond_member, cond_z, cond_int), sol
+    return cond_member, cond_z, cond_int
 
 
 def verify_viscosity_conditions(model, surface, start_time, start_state,
@@ -452,32 +463,18 @@ def verify_viscosity_conditions(model, surface, start_time, start_state,
     grid = TimeGrid(start_time, model.horizon, config.steps)
     ensemble = simulate_paths(model, start_time, start_state, control, grid,
                               config.n_paths, config.seed)
-    conditions, _ = _closed_loop_conditions(model, surface, ensemble,
-                                            candidate_triple, config)
-    conds = list(conditions)
+    conds = list(_closed_loop_conditions(model, surface, ensemble,
+                                         candidate_triple, config))
 
     if battery:
         w0 = float(np.asarray(surface.value_at(start_time, start_state)))
-        worst = (-math.inf, "")
-        for k, (label, ctrl) in enumerate(battery):
-            est = cost_functional(model, start_time, start_state, ctrl, grid,
-                                  config.n_paths, config.seed + 13 * k,
-                                  config.solver)
-            slack = w0 - est.value - 3.0 * est.stderr - config.bias_budget
-            if slack > worst[0]:
-                worst = (slack, label)
-        conds.append(ConditionRecord(
-            name="value-consistency",
-            slack=worst[0], tolerance=0.0,
-            status="pass" if worst[0] <= 0.0 else "fail",
-            detail=f"worst control {worst[1]} of {len(battery)}"))
+        conds.append(_battery_condition(model, w0, start_time, start_state,
+                                        battery, grid, config,
+                                        "value-consistency")[0])
 
-    fp = _fingerprint({"theorem": "viscosity", "model": model.name,
-                       "t": start_time, "x": float(np.asarray(start_state).reshape(())),
-                       "paths": config.n_paths, "steps": config.steps,
-                       "seed": config.seed,
-                       "probe": (config.probe.max_radius, config.probe.levels,
-                                 config.probe.samples, config.probe.seed)})
+    fp = _route_fingerprint("viscosity", model, surface, start_time, start_state,
+                            config, probe=(config.probe.max_radius, config.probe.levels,
+                                           config.probe.samples, config.probe.seed))
     return VerificationReport(theorem="viscosity-verification",
                               conditions=tuple(conds), fingerprint=fp)
 
@@ -551,12 +548,8 @@ class TripleTables:
 
     def lookup(self, grid):
         def triple(s, x):
-            i = int(round(min(max(s, 0.0), grid.horizon) / grid.dt))
-            x = np.asarray(x, dtype=float)
-            j = np.clip(np.rint((x - grid.x_min) / grid.dx).astype(int),
-                        0, grid.x_steps)
-            return (self.time_slope[i, j], self.gradient[i, j],
-                    self.curvature[i, j])
+            node = grid.nearest_node(s, x)
+            return self.time_slope[node], self.gradient[node], self.curvature[node]
         return triple
 
 
@@ -567,12 +560,7 @@ def tables_from_surface(surface):
     ps = np.empty_like(surface.values)
     pps = np.empty_like(surface.values)
     for i in range(grid.t_steps + 1):
-        wt, wx, wxx = surface.derivative_rows(i)
-        for j in surface.kink_columns:
-            left, right = surface.one_sided_slopes(i, j)
-            wx[j] = 0.5 * (left + right)
-            wxx[j] = 0.0
-        qs[i], ps[i], pps[i] = wt, wx, wxx
+        qs[i], ps[i], pps[i] = surface.expansion_rows(i)
     return TripleTables(time_slope=qs, gradient=ps, curvature=pps)
 
 
@@ -636,15 +624,13 @@ def verify_feedback_optimality(model, surface, law, tables, start_time,
     ensemble = simulate_closed_loop(model, law, start_time, start_state,
                                     mc_grid, config.n_paths, config.seed)
     triple = tables.lookup(grid)
-    closed, _ = _closed_loop_conditions(
+    closed = _closed_loop_conditions(
         model, surface, ensemble, triple, config,
         names=("table-membership-on-paths", "martingale-slope-match",
                "integral-optimality"))
 
-    fp = _fingerprint({"theorem": "feedback", "model": model.name,
-                       "t": start_time, "x": float(np.asarray(start_state).reshape(())),
-                       "paths": config.n_paths, "steps": config.steps,
-                       "seed": config.seed, "nodes": int(n)})
+    fp = _route_fingerprint("feedback", model, surface, start_time, start_state,
+                            config, nodes=int(n), law=_law_key(law))
     return VerificationReport(theorem="feedback-optimality",
                               conditions=(cond_pt,) + closed,
                               fingerprint=fp)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import rfbsde
 from rfbsde.cli import main
 
 FAST_MC = ["--set", "mc.paths=2000", "--set", "mc.steps=50"]
@@ -176,3 +180,47 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
                               "--set", "estimator.bins=16",
                               "--set", "penalty.n=50.0", *FAST_MC])
     assert code == 0
+
+
+def test_cost_csv_rewritten_on_rerun(tmp_path, capsys):
+    argv = ["cost", "--out", str(tmp_path), "--set", "cost.method=tree"]
+    assert run(capsys, argv)[0] == 0
+    first = (tmp_path / "cost.csv").read_bytes()
+    assert run(capsys, argv)[0] == 0
+    second = (tmp_path / "cost.csv").read_bytes()
+    assert first == second
+    rows = second.decode().splitlines()
+    assert len(rows) == 2 and rows[0].startswith("model,method")
+
+
+def test_module_entry_runs_cli(tmp_path):
+    src = str(Path(rfbsde.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "D"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfbsde.cli", "cost", "--out", str(out),
+         "--set", "cost.method=tree", "--set", "cost.tree_depth=4"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "cost.csv").exists()
+
+
+def test_fingerprint_covers_surface(tmp_path, capsys):
+    base = ["verify", "--set", "model.name=example-viscosity",
+            "--set", "verify.mode=feedback", "--set", "pde.x_min=-2",
+            "--set", "pde.x_max=2", "--set", "pde.t_steps=200",
+            "--set", "pde.x_steps=40", "--set", "mc.start_state=-0.5",
+            "--set", "mc.paths=300", "--set", "mc.steps=20",
+            "--set", "verify.membership_times=4",
+            "--set", "verify.membership_paths=8", "--set", "verify.node_samples=8"]
+
+    def fingerprint(name, surface):
+        out = tmp_path / name
+        run(capsys, base + ["--out", str(out), "--set", f"verify.surface={surface}"])
+        return json.loads((out / "report.json").read_text())["fingerprint"]
+
+    candidate = fingerprint("a", "candidate")
+    assert fingerprint("b", "candidate") == candidate
+    assert fingerprint("c", "computed") != candidate

@@ -280,19 +280,15 @@ def test_surface_csv_deterministic(tmp_path, zero_surface):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_hamiltonian_vector_state():
-    model = ControlModel(
-        name="planar",
-        drift=lambda r, x, u: np.array([x[1], -x[0]]) + u,
-        diffusion=lambda r, x, u: np.eye(2) * 0.5,
-        driver=lambda r, x, y, z, u: y + z[0],
-        terminal=lambda x: x[0],
-        obstacle=lambda r, x: 10.0,
-        control_set=ControlSet.interval(0.0, 1.0, 2),
-        horizon=1.0, state_dim=2, noise_dim=2)
-    q = HamiltonianQuery(time=0.0, state=np.array([1.0, 2.0]), value=1.0,
-                         gradient=np.array([1.0, -1.0]),
-                         curvature=np.diag([2.0, 4.0]), control=0.0)
-    # tr((1/2)*0.25*I * P) + p.b + f with z = p.sigma = (0.5, -0.5)
-    expected = 0.125 * (2.0 + 4.0) + (1.0 * 2.0 + (-1.0) * (-1.0)) + (1.0 + 0.5)
-    assert hamiltonian(model, q) == pytest.approx(expected)
+def test_product_control_set_refused():
+    m = example_classical()
+    product = ControlModel(
+        name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
+        terminal=m.terminal, obstacle=m.obstacle,
+        control_set=ControlSet(bounds=((0.0, 1.0), (0.0, 1.0)), grid_points=(2, 2)),
+        horizon=1.0)
+    q = HamiltonianQuery(0.0, 1.0, 1.0, 1.0, 0.0, control=0.0)
+    with pytest.raises(ConfigError):
+        hamiltonian(product, q)
+    with pytest.raises(ConfigError):
+        inf_hamiltonian(product, 0.0, 1.0, 1.0, 1.0, 0.0)

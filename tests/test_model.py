@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rfbsde import ConfigError, ControlSet, ProbeGrid, validate_assumptions
+from rfbsde import model as model_module
 from rfbsde.model import (ControlModel, build_model, example_classical,
                           example_viscosity, random_lipschitz_model, zero_model)
 
@@ -60,12 +61,20 @@ def test_catalog_unknown_name():
         build_model("no-such-model")
 
 
-def test_half_covariance_nonnegative(classical_model, viscosity_model):
-    xs = np.linspace(-5.0, 5.0, 21)
-    for m in (classical_model, viscosity_model):
-        for u in m.control_set.points():
-            a = m.half_covariance(0.3, xs, u)
-            assert np.all(a >= 0.0)
+def test_build_model_propagates_builder_type_error(monkeypatch):
+    # fails on its first call only, so a retry would hide the error
+    calls = []
+
+    def flaky(horizon=1.0, control_points=5):
+        calls.append(control_points)
+        if len(calls) == 1:
+            raise TypeError("bad coefficient inside the builder")
+        return zero_model(horizon)
+
+    monkeypatch.setitem(model_module.MODEL_CATALOG, "flaky", flaky)
+    with pytest.raises(TypeError, match="inside the builder"):
+        build_model("flaky")
+    assert len(calls) == 1
 
 
 def test_examples_finite_on_finite_inputs(classical_model, viscosity_model):

@@ -169,25 +169,6 @@ def test_csv_export_deterministic(tmp_path, classical_model):
     assert "seed=8" in header and "steps=5" in header
 
 
-def test_vector_state_simulation():
-    # two uncoupled flat coordinates exercise the general-dimension path
-    model = ControlModel(
-        name="vec",
-        drift=lambda r, x, u: np.zeros_like(x),
-        diffusion=lambda r, x, u: np.zeros(x.shape + (2,)),
-        driver=lambda r, x, y, z, u: 0.0 * y,
-        terminal=lambda x: x[..., 0],
-        obstacle=lambda r, x: np.ones(x.shape[:-1]),
-        control_set=ControlSet.interval(0.0, 1.0, 2),
-        horizon=1.0, state_dim=2, noise_dim=2)
-    ens = simulate_paths(model, 0.0, np.array([1.0, -2.0]),
-                         OpenLoopControl.constant(0.0),
-                         TimeGrid(0.0, 1.0, 10), 8, seed=0)
-    assert ens.states.shape == (8, 11, 2)
-    assert np.all(ens.states[:, :, 0] == 1.0)
-    assert np.all(ens.states[:, :, 1] == -2.0)
-
-
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31),
        steps=st.integers(min_value=1, max_value=30),
