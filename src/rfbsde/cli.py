@@ -168,48 +168,63 @@ class _Run:
         return manifest
 
 
+def _num(cfg, key, cast=float):
+    """The value at the dotted config ``key`` cast by ``cast`` (int or float);
+    a value that does not convert, or would be truncated by ``int``, is a
+    config error naming the key."""
+    val = cfg
+    for part in key.split("."):
+        val = val[part]
+    try:
+        out = cast(val)
+        exact = cast is not int or out == float(val)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"config key '{key}' must be {kind}, got {val!r}")
+    return out
+
+
 def _model_from(cfg):
-    mc = cfg["model"]
-    return build_model(mc["name"], horizon=float(mc["horizon"]),
-                       control_points=int(mc["control_points"]))
+    return build_model(cfg["model"]["name"], horizon=_num(cfg, "model.horizon"),
+                       control_points=_num(cfg, "model.control_points", int))
 
 
 def _solver_config(cfg):
-    t = cfg["tolerances"]
     return SolverConfig(estimator=cfg["estimator"]["kind"],
-                        degree=int(cfg["estimator"]["degree"]),
-                        bins=int(cfg["estimator"]["bins"]),
-                        penalty_level=float(cfg["penalty"]["n"]),
-                        picard_iterations=int(cfg["solver"]["picard_iterations"]),
-                        tol_obstacle=float(t["obstacle"]),
-                        tol_skorokhod=float(t["skorokhod"]))
+                        degree=_num(cfg, "estimator.degree", int),
+                        bins=_num(cfg, "estimator.bins", int),
+                        penalty_level=_num(cfg, "penalty.n"),
+                        picard_iterations=_num(cfg, "solver.picard_iterations", int),
+                        tol_obstacle=_num(cfg, "tolerances.obstacle"),
+                        tol_skorokhod=_num(cfg, "tolerances.skorokhod"))
 
 
 def _verify_config(cfg):
-    t = cfg["tolerances"]
-    v = cfg["verify"]
-    probe = MembershipProbe(member_tol=float(t["membership"]),
-                            nonmember_tol=float(t["nonmember"]),
-                            seed=int(cfg["mc"]["seed"]))
-    return VerifyConfig(n_paths=int(cfg["mc"]["paths"]),
-                        steps=int(cfg["mc"]["steps"]),
-                        seed=int(cfg["mc"]["seed"]),
+    seed = _num(cfg, "mc.seed", int)
+    probe = MembershipProbe(member_tol=_num(cfg, "tolerances.membership"),
+                            nonmember_tol=_num(cfg, "tolerances.nonmember"),
+                            seed=seed)
+    return VerifyConfig(n_paths=_num(cfg, "mc.paths", int),
+                        steps=_num(cfg, "mc.steps", int),
+                        seed=seed,
                         solver=_solver_config(cfg),
-                        bias_budget=float(t["bias_budget"]),
-                        z_tol=float(t["z_match"]),
-                        battery_random=int(v["battery_random"]),
-                        battery_switches=int(v["battery_switches"]),
-                        membership_times=int(v["membership_times"]),
-                        membership_paths=int(v["membership_paths"]),
-                        node_samples=int(v["node_samples"]),
+                        bias_budget=_num(cfg, "tolerances.bias_budget"),
+                        z_tol=_num(cfg, "tolerances.z_match"),
+                        battery_random=_num(cfg, "verify.battery_random", int),
+                        battery_switches=_num(cfg, "verify.battery_switches", int),
+                        membership_times=_num(cfg, "verify.membership_times", int),
+                        membership_paths=_num(cfg, "verify.membership_paths", int),
+                        node_samples=_num(cfg, "verify.node_samples", int),
                         probe=probe)
 
 
 def _pde_grid(cfg, model):
-    p = cfg["pde"]
-    return SpaceTimeGrid(horizon=model.horizon, x_min=float(p["x_min"]),
-                         x_max=float(p["x_max"]), t_steps=int(p["t_steps"]),
-                         x_steps=int(p["x_steps"]))
+    return SpaceTimeGrid(horizon=model.horizon, x_min=_num(cfg, "pde.x_min"),
+                         x_max=_num(cfg, "pde.x_max"),
+                         t_steps=_num(cfg, "pde.t_steps", int),
+                         x_steps=_num(cfg, "pde.x_steps", int))
 
 
 def _surface_for(cfg, model, choice):
@@ -265,29 +280,28 @@ def cmd_cost(cfg):
     model = _model_from(cfg)
     mc = cfg["mc"]
     method = cfg["cost"]["method"]
-    u0 = float(cfg["cost"]["control"])
+    u0 = _num(cfg, "cost.control")
+    start_time = _num(cfg, "mc.start_time")
+    start_state = _num(cfg, "mc.start_state")
     t0 = time.time()
     if method == "reflected":
-        grid = TimeGrid(float(mc["start_time"]), model.horizon, int(mc["steps"]))
-        est = cost_functional(model, float(mc["start_time"]),
-                              float(mc["start_state"]),
+        grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
+        est = cost_functional(model, start_time, start_state,
                               OpenLoopControl.constant(u0), grid,
-                              int(mc["paths"]), int(mc["seed"]),
+                              _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                               _solver_config(cfg))
         value, stderr = est.value, est.stderr
     elif method == "feedback":
         surface = _surface_for(cfg, model, cfg["verify"]["surface"])
         law = extract_feedback(surface, model)
-        grid = TimeGrid(float(mc["start_time"]), model.horizon, int(mc["steps"]))
-        est = evaluate_feedback(model, law, float(mc["start_time"]),
-                                float(mc["start_state"]), grid,
-                                int(mc["paths"]), int(mc["seed"]),
+        grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
+        est = evaluate_feedback(model, law, start_time, start_state, grid,
+                                _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                 _solver_config(cfg), allow_irregular=True)
         value, stderr = est.value, est.stderr
     elif method == "tree":
-        value = tree_oracle(model, float(mc["start_time"]),
-                            float(mc["start_state"]),
-                            lambda t, x: u0, int(cfg["cost"]["tree_depth"]))
+        value = tree_oracle(model, start_time, start_state,
+                            lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
         stderr = 0.0
     else:
         raise ConfigError(f"unknown cost method '{method}'")
@@ -317,15 +331,15 @@ def cmd_verify(cfg):
     model = _model_from(cfg)
     vcfg = _verify_config(cfg)
     v = cfg["verify"]
-    mc = cfg["mc"]
-    start_time = float(mc["start_time"])
-    start_state = float(mc["start_state"])
-    tr = v["triple"]
-    triple = (float(tr["time_slope"]), float(tr["gradient"]), float(tr["curvature"]))
+    start_time = _num(cfg, "mc.start_time")
+    start_state = _num(cfg, "mc.start_state")
+    triple = tuple(_num(cfg, f"verify.triple.{k}")
+                   for k in ("time_slope", "gradient", "curvature"))
     surface = _surface_for(cfg, model, v["surface"])
     if v["mode"] in ("classical", "feedback"):
         if v["constant_law"] is not None:
-            law = FeedbackLaw.constant(float(v["constant_law"]), model.control_set)
+            law = FeedbackLaw.constant(_num(cfg, "verify.constant_law"),
+                                       model.control_set)
         else:
             law = extract_feedback(surface, model)
 
@@ -336,15 +350,14 @@ def cmd_verify(cfg):
         report = verify_classical(model, surface, start_time, start_state,
                                   law, battery, vcfg)
     elif v["mode"] == "viscosity":
-        u0 = v["control"]
-        if u0 is None:
-            u0 = model.control_set.bounds[0][0]
+        u0 = model.control_set.bounds[0][0] if v["control"] is None \
+            else _num(cfg, "verify.control")
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         min(vcfg.battery_random, 5),
                                         vcfg.battery_switches)
         report = verify_viscosity_conditions(
             model, surface, start_time, start_state,
-            OpenLoopControl.constant(float(u0)),
+            OpenLoopControl.constant(u0),
             lambda s, x: triple, vcfg, battery=battery)
     elif v["mode"] == "feedback":
         if v["tables"] == "surface":
@@ -368,11 +381,12 @@ def cmd_verify(cfg):
 def cmd_assumptions(cfg):
     run = _Run(cfg, "assumptions")
     model = _model_from(cfg)
-    a = cfg["assumptions"]
-    probe = ProbeGrid(time_bounds=(float(a["t_min"]), float(a["t_max"])),
-                      state_bounds=(float(a["x_min"]), float(a["x_max"])),
-                      points=int(a["points"]))
-    report = validate_assumptions(model, probe, seed=int(cfg["mc"]["seed"]))
+    probe = ProbeGrid(time_bounds=(_num(cfg, "assumptions.t_min"),
+                                   _num(cfg, "assumptions.t_max")),
+                      state_bounds=(_num(cfg, "assumptions.x_min"),
+                                    _num(cfg, "assumptions.x_max")),
+                      points=_num(cfg, "assumptions.points", int))
+    report = validate_assumptions(model, probe, seed=_num(cfg, "mc.seed", int))
     lines = report.summary_lines()
     with open(run.path("assumptions.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -26,6 +26,7 @@ from .errors import BackwardSolverError, ConfigError
 from .simulate import law_controls, simulate_paths
 
 _DEGENERATE_STD = 1e-12
+_PIVOT_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,9 @@ class RbsdeSolution:
     ``value`` is (paths, steps+1); ``slope`` holds the per-interval martingale
     coefficient on nodes 0..steps-1 (last column zero by convention);
     ``reflection`` is the cumulative nondecreasing push with reflection[:,0]=0.
+    The arrays are stored column-major, like the ensemble they were solved
+    on, so each per-node column is contiguous; shapes and indexing are those
+    of the row-major ``(paths, steps)`` layout of the increment draw.
     """
 
     value: np.ndarray
@@ -68,7 +72,14 @@ class RbsdeSolution:
 
 
 class _ConditionalExpectation:
-    """Cross-path estimator of E[target | state] at one backward node."""
+    """Cross-path estimator of E[target | state] at one backward node.
+
+    The poly estimator solves the normal equations of the standardised
+    polynomial design through a Cholesky factor of its Gram matrix.  The Gram
+    pivots (squared diagonal of the factor) of a rank-deficient design are
+    rounding noise, about 1e-14 of the largest, so a pivot ratio at or below
+    ``_PIVOT_RATIO``, or a failed factorisation, sends the node to bins.
+    """
 
     def __init__(self, states, config):
         self.config = config
@@ -80,17 +91,28 @@ class _ConditionalExpectation:
             self.mode = "mean"
             return
         if config.estimator == "poly":
-            t = (states - mu) / sd
-            design = np.vander(t, config.degree + 1, increasing=True)
-            q, r = np.linalg.qr(design)
-            diag = np.abs(np.diag(r))
-            if diag.min() <= 1e-10 * max(diag.max(), 1.0):
+            # column k is column k-1 times t, built in place
+            design = np.empty((len(states), config.degree + 1), order="F")
+            design[:, 0] = 1.0
+            t = design[:, 1]
+            np.subtract(states, mu, out=t)
+            t /= sd
+            for k in range(2, config.degree + 1):
+                np.multiply(design[:, k - 1], t, out=design[:, k])
+            try:
+                chol = np.linalg.cholesky(design.T @ design)
+                pivots = np.diag(chol) ** 2
+                full_rank = pivots.min() > _PIVOT_RATIO * max(pivots.max(), 1.0)
+            except np.linalg.LinAlgError:
+                full_rank = False
+            if full_rank:
+                self.mode = "poly"
+                self._design = design
+                self._chol_inv = np.linalg.inv(chol)
+            else:
                 self.mode = "bins"
                 self.fallback = True
                 self._make_bins()
-            else:
-                self.mode = "poly"
-                self._q = q
         else:
             self.mode = "bins"
             self._make_bins()
@@ -108,8 +130,9 @@ class _ConditionalExpectation:
         if self.mode == "mean":
             return np.full_like(target, target.mean())
         if self.mode == "poly":
-            # least-squares fit evaluated at the data: project onto span(Q)
-            return self._q @ (self._q.T @ target)
+            # least-squares fit evaluated at the data: design @ (G^-1 design^T target)
+            w = self._chol_inv
+            return self._design @ (w.T @ (w @ (self._design.T @ target)))
         sums = np.bincount(self._bin_of, weights=target, minlength=len(self._counts))
         means = sums / np.maximum(self._counts, 1)
         return means[self._bin_of]
@@ -125,26 +148,38 @@ def _barrier_resolve(raw, barrier, penalty_level, dt):
 
 
 def _backward_pass(model, ensemble, config, penalty_level):
-    """Shared backward induction.  penalty_level=None means hard reflection."""
+    """Shared backward induction.  penalty_level=None means hard reflection.
+
+    The obstacle is evaluated once per node, and the obstacle violation and
+    the per-path Skorokhod slack (barrier gap times push, summed over nodes)
+    are accumulated on the way.  The reflected pass raises when either
+    exceeds its tolerance times (1 + max|value|); the penalized pass only
+    reports them, since its soft barrier may overshoot.
+    """
     states = ensemble.states
     n_paths, n_nodes = states.shape
     steps = n_nodes - 1
     dt = ensemble.grid.dt
     nodes = ensemble.grid.nodes
+    reflected = penalty_level is None
 
-    value = np.empty_like(states)
-    slope = np.zeros_like(states)
-    pushes = np.zeros((n_paths, steps))
+    value = np.empty((n_paths, n_nodes), order="F")
+    slope = np.zeros((n_paths, n_nodes), order="F")
+    pushes = np.zeros((n_paths, steps), order="F")
     value[:, steps] = np.asarray(model.terminal(states[:, steps]), dtype=float)
+    value_max = float(np.max(np.abs(value[:, steps])))
+    violation = 0.0
+    slack = np.zeros(n_paths)
     fallback_nodes = []
 
     for i in range(steps - 1, -1, -1):
-        est = _ConditionalExpectation(states[:, i], config)
+        x = states[:, i]
+        est = _ConditionalExpectation(x, config)
         if est.fallback:
             fallback_nodes.append(i)
         cont = est(value[:, i + 1])
         z = est(value[:, i + 1] * ensemble.increments[:, i]) / dt
-        barrier = np.asarray(model.obstacle(nodes[i], states[:, i]), dtype=float)
+        barrier = np.asarray(model.obstacle(nodes[i], x), dtype=float)
         u = ensemble.controls[:, i]
 
         y = cont.copy()
@@ -152,15 +187,15 @@ def _backward_pass(model, ensemble, config, penalty_level):
         shift = 0.0
         prev_shift = math.inf
         for _ in range(budget):
-            raw = cont + np.asarray(
-                model.driver(nodes[i], states[:, i], y, z, u), dtype=float) * dt
+            raw = cont + np.asarray(model.driver(nodes[i], x, y, z, u), dtype=float) * dt
             y_new = _barrier_resolve(raw, barrier, penalty_level, dt)
             prev_shift = shift if shift > 0.0 else prev_shift
             shift = float(np.max(np.abs(y_new - y)))
             y = y_new
-        scale = 1.0 + float(np.max(np.abs(y)))
-        if not np.all(np.isfinite(y)):
+        y_max = float(np.max(np.abs(y)))
+        if not math.isfinite(y_max):
             raise BackwardSolverError(f"non-finite backward value at step {i}")
+        scale = 1.0 + y_max
         # geometric-tail estimate of the remaining fixed-point error
         rate = shift / prev_shift if math.isfinite(prev_shift) and prev_shift > 0 else 0.0
         tail = shift * rate / max(1.0 - rate, 1e-12)
@@ -168,24 +203,36 @@ def _backward_pass(model, ensemble, config, penalty_level):
             raise BackwardSolverError(
                 f"driver fixed point not converged at step {i} "
                 f"(residual {shift:.3e}, contraction {rate:.3g}, budget {budget})")
-        if penalty_level is None:
-            pushes[:, i] = np.maximum(raw - barrier, 0.0)
+        value_max = max(value_max, y_max)
+        violation = max(violation, float(np.max(y - barrier)))
+        if reflected:
+            push = pushes[:, i]
+            np.subtract(raw, barrier, out=push)
+            np.maximum(push, 0.0, out=push)
+            slack += (barrier - y) * push
         value[:, i] = y
         slope[:, i] = z
 
-    reflection = np.zeros_like(value)
-    np.cumsum(pushes, axis=1, out=reflection[:, 1:])
+    reflection = np.zeros((n_paths, n_nodes), order="F")
+    if reflected:
+        for i in range(steps):
+            np.add(reflection[:, i], pushes[:, i], out=reflection[:, i + 1])
 
-    barrier_all = np.column_stack([
-        np.asarray(model.obstacle(nodes[i], states[:, i]), dtype=float)
-        for i in range(n_nodes)])
-    violation = float(np.max(np.maximum(value - barrier_all, 0.0)[:, :steps]))
-    slack = float(np.max(np.sum((barrier_all[:, :steps] - value[:, :steps]) * pushes, axis=1)))
+    slack_max = float(np.max(np.abs(slack)))
+    bound = 1.0 + value_max
+    if reflected and violation > config.tol_obstacle * bound:
+        raise BackwardSolverError(
+            f"reflected value exceeds the obstacle by {violation:.3e} "
+            f"(tolerance {config.tol_obstacle:.1e} x {bound:.4g})")
+    if reflected and slack_max > config.tol_skorokhod * bound:
+        raise BackwardSolverError(
+            f"Skorokhod slack {slack_max:.3e} exceeds "
+            f"{config.tol_skorokhod:.1e} x {bound:.4g}")
     terminal_gap = float(np.max(np.abs(
         value[:, steps] - np.asarray(model.terminal(states[:, steps]), dtype=float))))
     diagnostics = {
         "max_obstacle_violation": violation,
-        "max_skorokhod_slack": slack,
+        "max_skorokhod_slack": slack_max,
         "terminal_mismatch": terminal_gap,
         "estimator_fallback_nodes": tuple(reversed(fallback_nodes)),
         "penalty_level": penalty_level,

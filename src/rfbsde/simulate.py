@@ -3,8 +3,12 @@
 Paths are generated by the Euler scheme on a uniform grid with Gaussian
 increments from a counter-based generator keyed by the seed; the (path, node)
 position indexes the counter layout, so ensembles are reproducible and
-per-path streams are independent by construction.  Ensembles are immutable
-once built and shared freely by the backward solvers.
+per-path streams are independent by construction.  The counter layout is the
+row-major one of a single ``standard_normal((paths, steps))`` draw from
+Philox keyed by the seed, scaled by sqrt(dt).  Storage is column-major
+(``order="F"``): every per-node column ``states[:, i]`` is contiguous, which is
+how both the forward and the backward pass read them.  Ensembles are
+immutable once built and shared freely by the backward solvers.
 """
 
 import math
@@ -14,6 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SimulationError
+
+_DRAW_ROWS = 1024      # rows of the increment stream drawn per block
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ class PathEnsemble:
     """Euler paths of the controlled state on a shared grid.
 
     ``states`` has shape (paths, steps+1); ``increments`` and ``controls``
-    are (paths, steps).
+    are (paths, steps).  All three are stored column-major, so each per-node
+    column is contiguous; the increments still hold the row-major
+    ``(paths, steps)`` draw of the module docstring, element for element.
     """
 
     grid: TimeGrid
@@ -114,6 +122,22 @@ def law_controls(model, law, t, x):
         np.broadcast_to(np.asarray(law(t, x), dtype=float), np.shape(x)))
 
 
+def _increments(seed, n_paths, steps, dt):
+    """Column-major Brownian increments of the documented stream.
+
+    Rows are drawn ``_DRAW_ROWS`` at a time from one generator, which yields
+    the one-shot ``standard_normal((paths, steps))`` draw value for value,
+    and each block is scaled straight into the column-major array.
+    """
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    scale = math.sqrt(dt)
+    out = np.empty((n_paths, steps), order="F")
+    for start in range(0, n_paths, _DRAW_ROWS):
+        block = gen.standard_normal((min(_DRAW_ROWS, n_paths - start), steps))
+        np.multiply(block, scale, out=out[start:start + len(block)])
+    return out
+
+
 def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
     """Euler loop shared by both entry points.
 
@@ -126,11 +150,10 @@ def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
         raise ConfigError("grid.end exceeds the model horizon")
 
     dt = grid.dt
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    dW = gen.standard_normal((n_paths, grid.steps)) * math.sqrt(dt)
-    states = np.empty((n_paths, grid.steps + 1))
+    dW = _increments(seed, n_paths, grid.steps, dt)
+    states = np.empty((n_paths, grid.steps + 1), order="F")
     states[:, 0] = float(np.asarray(start_state).reshape(()))
-    controls = np.empty((n_paths, grid.steps))
+    controls = np.empty((n_paths, grid.steps), order="F")
     nodes = grid.nodes
     for i in range(grid.steps):
         x = states[:, i]

@@ -84,6 +84,21 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert err.startswith("ERROR[config]")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["cost", "--set", "mc.paths=abc"], "mc.paths"),
+    (["cost", "--set", "mc.paths=2.5"], "mc.paths"),
+    (["cost", "--set", "mc.steps=inf"], "mc.steps"),
+    (["cost", "--set", "cost.control=low"], "cost.control"),
+    (["verify", "--tol", "membership=tight"], "tolerances.membership"),
+    (["solve", "--set", "pde.x_steps=ten"], "pde.x_steps"),
+])
+def test_non_numeric_config_value_exit_code(tmp_path, capsys, argv, key):
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("ERROR[config]")
+    assert key in err
+
+
 def test_unknown_key_in_yaml_config(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump({"mc": {"paths": 10, "bogus": 3}}))

@@ -9,6 +9,7 @@ from rfbsde import (BackwardSolverError, OpenLoopControl, TimeGrid,
                     tree_oracle)
 from rfbsde.model import (ControlModel, ControlSet, example_classical,
                           example_viscosity, random_lipschitz_model, zero_model)
+from rfbsde import rbsde
 from rfbsde.rbsde import SolverConfig, _ConditionalExpectation
 from rfbsde.simulate import simulate_paths
 
@@ -223,6 +224,29 @@ def test_conditional_expectation_rank_fallback():
     np.testing.assert_allclose(est(target), target)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("degree", (1, 2, 3))
+def test_conditional_expectation_poly_matches_lstsq(seed, degree):
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.normal(size=3000)) + 2.0
+    target = rng.normal(size=3000) + np.sin(3.0 * x)
+    est = _ConditionalExpectation(x, SolverConfig(degree=degree))
+    assert est.mode == "poly"
+    design = np.vander((x - x.mean()) / x.std(), degree + 1, increasing=True)
+    want = design @ np.linalg.lstsq(design, target, rcond=None)[0]
+    assert np.max(np.abs(est(target) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("levels, degree", [
+    ((0.0, 1.0), 2), ((0.0, 1.0, 3.0), 3), ((-2.0, 0.5, 7.0), 5)])
+def test_conditional_expectation_few_levels_fall_back(levels, degree):
+    # fewer distinct states than basis functions: the Gram matrix is singular
+    weights = np.arange(1.0, len(levels) + 1.0)
+    x = np.random.default_rng(1).choice(levels, size=5000, p=weights / weights.sum())
+    est = _ConditionalExpectation(x, SolverConfig(degree=degree))
+    assert est.fallback and est.mode == "bins"
+
+
 def test_conditional_expectation_degenerate_mean():
     x = np.full(100, 3.0)
     est = _ConditionalExpectation(x, SolverConfig())
@@ -249,6 +273,59 @@ def test_estimator_fallback_flagged_in_diagnostics():
     object.__setattr__(ens, "states", patched)
     sol = solve_reflected(two_point, ens)
     assert len(sol.diagnostics["estimator_fallback_nodes"]) > 0
+
+
+def test_c_order_states_solve_alike(classical_ensemble):
+    model, ens = classical_ensemble
+    c_order = np.ascontiguousarray(ens.states)
+    assert not c_order[:, 1].flags.c_contiguous
+    sol = solve_reflected(model, ens)
+    column_major = ens.states
+    object.__setattr__(ens, "states", c_order)
+    try:
+        again = solve_reflected(model, ens)
+    finally:
+        object.__setattr__(ens, "states", column_major)
+    np.testing.assert_allclose(again.value, sol.value, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(again.reflection, sol.reflection, rtol=1e-12, atol=1e-12)
+
+
+def test_solution_columns_contiguous(classical_ensemble):
+    model, ens = classical_ensemble
+    for sol in (solve_reflected(model, ens), solve_penalized(model, ens, 10.0)):
+        for arr in (sol.value, sol.slope, sol.reflection, sol.pushes):
+            assert all(arr[:, i].flags.c_contiguous for i in range(arr.shape[1]))
+
+
+@pytest.fixture(scope="module")
+def small_classical_ensemble():
+    model = example_classical()
+    return model, simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                                 TimeGrid(0.0, 1.0, 20), 2000, seed=8)
+
+
+def test_reflected_obstacle_tolerance_enforced(small_classical_ensemble, monkeypatch):
+    model, ens = small_classical_ensemble
+    assert np.any(solve_reflected(model, ens).pushes > 0.0)
+    exact = rbsde._barrier_resolve
+    # a projection that leaves the value 1e-6 above the barrier
+    monkeypatch.setattr(rbsde, "_barrier_resolve",
+                        lambda raw, barrier, level, dt: exact(raw, barrier + 1e-6, level, dt))
+    with pytest.raises(BackwardSolverError, match="obstacle"):
+        solve_reflected(model, ens)
+    # the penalized pass only reports: its soft barrier may overshoot
+    pen = solve_penalized(model, ens, 10.0)
+    assert pen.diagnostics["max_obstacle_violation"] > 1e-6
+
+
+def test_reflected_skorokhod_tolerance_enforced(small_classical_ensemble, monkeypatch):
+    model, ens = small_classical_ensemble
+    exact = rbsde._barrier_resolve
+    # pushed values left 1e-5 below the barrier: the gap times push is positive
+    monkeypatch.setattr(rbsde, "_barrier_resolve",
+                        lambda raw, barrier, level, dt: exact(raw, barrier, level, dt) - 1e-5)
+    with pytest.raises(BackwardSolverError, match="Skorokhod"):
+        solve_reflected(model, ens)
 
 
 @settings(max_examples=8, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rfbsde import (OpenLoopControl, SimulationError, TimeGrid, moment_check,
                     simulate_closed_loop, simulate_paths)
 from rfbsde.model import ControlSet, ControlModel, example_classical, example_viscosity
-from rfbsde.simulate import write_ensemble_csv
+from rfbsde.simulate import _DRAW_ROWS, write_ensemble_csv
 
 
 def _flat_model():
@@ -103,6 +103,28 @@ def test_increment_statistics(classical_model):
                          grid, 20000, seed=17)
     assert abs(ens.increments.mean()) < 3e-4
     assert abs(ens.increments.var() - grid.dt) < 3e-4
+
+
+def test_increments_are_the_documented_draw(classical_model):
+    # one (paths, steps) Philox draw scaled by sqrt(dt), bit for bit, also
+    # when the path count is not a multiple of the block the draw is split in
+    n_paths, seed = 2 * _DRAW_ROWS + 37, 123
+    grid = TimeGrid(0.0, 1.0, 7)
+    ens = simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                         grid, n_paths, seed)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    want = gen.standard_normal((n_paths, grid.steps)) * math.sqrt(grid.dt)
+    assert np.array_equal(ens.increments, want)
+
+
+def test_ensemble_columns_contiguous(classical_model):
+    grid = TimeGrid(0.0, 1.0, 6)
+    for ens in (simulate_paths(classical_model, 0.0, 1.0,
+                               OpenLoopControl.constant(0.5), grid, 50, seed=3),
+                simulate_closed_loop(classical_model, lambda t, x: 0.5 * (x > 1.0),
+                                     0.0, 1.0, grid, 50, seed=3)):
+        for arr in (ens.states, ens.increments, ens.controls):
+            assert all(arr[:, i].flags.c_contiguous for i in range(arr.shape[1]))
 
 
 def test_moment_check_values(classical_model, viscosity_model):
