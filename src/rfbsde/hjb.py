@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, EvaluationError, KinkColumnError, StabilityError, BackwardSolverError
+from .model import control_grid
 from .rbsde import _barrier_resolve
 
 
@@ -186,14 +187,6 @@ class HamiltonianQuery:
     control: float
 
 
-def control_grid(model):
-    """The control search grid; the solvers take one control coordinate."""
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        raise ConfigError("only one control coordinate is supported")
-    return u_grid
-
-
 def coefficients(model, t, x, y, p, u):
     """(sigma, b, f) with f taken at z = p * sigma, broadcast over x and u.
 
@@ -201,10 +194,18 @@ def coefficients(model, t, x, y, p, u):
     tables in one call; aligned per-path arrays give per-path values.
     """
     shape = np.broadcast(x, u).shape
-    sig = np.broadcast_to(np.asarray(model.diffusion(t, x, u), dtype=float), shape)
-    b = np.broadcast_to(np.asarray(model.drift(t, x, u), dtype=float), shape)
-    f = np.broadcast_to(np.asarray(model.driver(t, x, y, p * sig, u), dtype=float), shape)
+    sig = _full(model.diffusion(t, x, u), shape)
+    b = _full(model.drift(t, x, u), shape)
+    f = _full(model.driver(t, x, y, p * sig, u), shape)
     return sig, b, f
+
+
+def _full(values, shape):
+    """``values`` as floats of ``shape``: a read-only broadcast view when the
+    callable returned fewer dimensions (a scalar, a ``(1, n)`` row), else the
+    returned array itself.  Callers only read these tables."""
+    arr = np.asarray(values, dtype=float)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
 def _assemble(coef, p, pp):
@@ -268,11 +269,9 @@ def _fill_edges(w, boundary):
     if boundary == "extrap2":
         w[0] = 3 * w[1] - 3 * w[2] + w[3]
         w[-1] = 3 * w[-2] - 3 * w[-3] + w[-4]
-    elif boundary == "extrap1":
+    else:
         w[0] = 2 * w[1] - w[2]
         w[-1] = 2 * w[-2] - w[-3]
-    else:
-        raise ConfigError(f"unknown boundary rule '{boundary}'")
 
 
 def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
@@ -282,20 +281,25 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
 
     ``scheme='explicit'`` steps with central differences and an exhaustive
     control-grid infimum; steps above the parabolic bound are split into
-    substeps (``cfl='strict'`` refuses instead).  ``scheme='implicit'`` runs
-    policy iteration with a banded implicit generator per time step.  With
+    substeps (``cfl='strict'`` refuses instead); ``boundary`` ('extrap2' or
+    'extrap1') is its rule for refilling the edge columns after each step.
+    ``scheme='implicit'`` runs policy iteration with a banded implicit
+    generator per time step; its edge rows always impose linear
+    extrapolation, so it records ``boundary=extrap1`` whatever ``boundary``
+    names (an unknown name is refused by both schemes).  With
     ``penalty_level`` set, the hard projection onto the barrier is replaced
     by the soft penalty resolve, which is how the penalty approximation of
     the variational inequality is exposed for convergence studies.
     """
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
+    if boundary not in ("extrap1", "extrap2"):
+        raise ConfigError(f"unknown boundary rule '{boundary}'")
     if scheme == "explicit":
         values, meta = _solve_explicit(model, grid, cfl, boundary, penalty_level)
     elif scheme == "implicit":
-        values, meta = _solve_policy_iteration(model, grid, boundary,
-                                               penalty_level, policy_tol,
-                                               policy_budget)
+        values, meta = _solve_policy_iteration(model, grid, penalty_level,
+                                               policy_tol, policy_budget)
     else:
         raise ConfigError("scheme must be 'explicit' or 'implicit'")
     return ValueSurface(grid=grid, values=values,
@@ -316,12 +320,12 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
     if cfl not in ("auto", "strict"):
         raise ConfigError("cfl must be 'auto' or 'strict'")
 
-    u_grid = control_grid(model)
+    ucol = control_grid(model)[:, None]
     times = grid.times
     values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
     sub_dt = dt / substeps
-    x_int = xs[1:-1]
+    x_row = xs[None, 1:-1]
 
     w = values[-1].copy()
     for i in range(grid.t_steps - 1, -1, -1):
@@ -330,13 +334,13 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
             t_new = t_lvl - sub_dt
             wx = (w[2:] - w[:-2]) / (2 * dx)
             wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-            h_rows = _hamiltonian_grid(model, t_lvl, x_int, w[1:-1], wx, wxx, u_grid)
+            coef = coefficients(model, t_lvl, x_row, w[None, 1:-1], wx[None, :], ucol)
             w_new = np.empty_like(w)
-            w_new[1:-1] = w[1:-1] + sub_dt * h_rows.min(axis=0)
+            w_new[1:-1] = w[1:-1] + sub_dt * _assemble(coef, wx, wxx).min(axis=0)
             _fill_edges(w_new, boundary)
             barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
             w = _barrier_resolve(w_new, barrier, penalty_level, sub_dt)
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise BackwardSolverError(
                     f"explicit scheme produced non-finite values near t={t_new:.4g}")
         values[i] = w
@@ -346,8 +350,8 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
     return values, meta
 
 
-def _solve_policy_iteration(model, grid, boundary, penalty_level,
-                            policy_tol, policy_budget):
+def _solve_policy_iteration(model, grid, penalty_level, policy_tol,
+                            policy_budget):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     ucol = control_grid(model)[:, None]
     times = grid.times
@@ -398,7 +402,7 @@ def _solve_policy_iteration(model, grid, boundary, penalty_level,
             raise BackwardSolverError(
                 f"policy iteration not converged at time index {i}")
         values[i] = w
-    return values, f"scheme=implicit, boundary={boundary}"
+    return values, "scheme=implicit, boundary=extrap1"
 
 
 def residual(surface, model):
@@ -473,10 +477,12 @@ def write_grid_csv(path, comments, grid, rows):
             fh.write(f"# {line}\n")
         if rows is None:
             return
-        fh.write("time," + ",".join(repr(float(x)) for x in grid.xs) + "\n")
-        for i, t in enumerate(grid.times):
-            fh.write(repr(float(t)) + "," +
-                     ",".join(repr(float(v)) for v in rows[i]) + "\n")
+        # float64 .tolist() gives Python floats, whose repr is the format;
+        # one row at a time keeps the list of boxed floats small
+        rows = np.asarray(rows, dtype=float)
+        fh.write("time," + ",".join(map(repr, grid.xs.tolist())) + "\n")
+        for i, t in enumerate(grid.times.tolist()):
+            fh.write(repr(t) + "," + ",".join(map(repr, rows[i].tolist())) + "\n")
 
 
 def write_surface_csv(surface, path):

@@ -123,6 +123,14 @@ class ControlModel:
             raise ConfigError("horizon must be a positive real")
 
 
+def control_grid(model):
+    """The control search grid; the solvers take one control coordinate."""
+    u_grid = np.atleast_1d(model.control_set.points())
+    if u_grid.ndim > 1:
+        raise ConfigError("only one control coordinate is supported")
+    return u_grid
+
+
 @dataclass(frozen=True)
 class AssumptionEntry:
     name: str          # one of ASSUMPTION_NAMES
@@ -213,9 +221,7 @@ def validate_assumptions(model, probe, seed=0):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     ts = probe.axis(probe.time_bounds)
     xs = probe.axis(probe.state_bounds)
-    us = np.atleast_1d(model.control_set.points())
-    if us.ndim > 1:
-        us = us[:, 0]
+    us = control_grid(model)
     ys = probe.axis(probe.value_bounds)
     zs = probe.axis(probe.value_bounds)
     # a few random cross sections keep the lattice from hiding anisotropy
@@ -291,8 +297,9 @@ def validate_assumptions(model, probe, seed=0):
 # ---------------------------------------------------------------------------
 
 def _proportional_noise(r, x, u):
-    # broadcast against u so control-grid sweeps get full-shaped output
-    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))[0] + 0.0
+    # broadcast against u so control-grid sweeps get full-shaped output; the
+    # added zeros also turn -0.0 into +0.0
+    return np.asarray(x, dtype=float) + np.zeros(np.shape(u))
 
 
 def _state_terminal(x):

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import _hamiltonian_grid, control_grid, write_grid_csv
+from .hjb import _hamiltonian_grid, write_grid_csv
+from .model import control_grid
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import simulate_closed_loop
 

@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, KinkColumnError
-from .hjb import coefficients, control_grid, inf_hamiltonian
+from .hjb import coefficients, inf_hamiltonian
+from .model import control_grid
 from .rbsde import SolverConfig, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -118,6 +119,29 @@ def test_csv_reproducibility(tmp_path, capsys):
     m1 = json.loads((d1 / "manifest.json").read_text())
     m2 = json.loads((d2 / "manifest.json").read_text())
     assert m1["config_sha256"] == m2["config_sha256"]
+
+
+GOLDEN_PDE = ["--set", "pde.t_steps=400", "--set", "pde.x_steps=40"]
+VISCOSITY_BOX = ["--set", "model.name=example-viscosity",
+                 "--set", "pde.x_min=-5", "--set", "pde.x_max=5"]
+
+
+@pytest.mark.parametrize("extra, digests", [
+    ([], {
+        "surface.csv": "1eae48e2cad9c3c035eebcf876e972c198d0d766b4451c4856dee21986a9e185",
+        "residual.csv": "4e5bf32c7525308637097691dbdccb023a9e072ef9cbd1c7a50f093bd1274b8f",
+        "law.csv": "5cf5a1cd37eafe20d57880e2c5a53c6c413b58087bdff9af86a1a063f2ad2543"}),
+    (VISCOSITY_BOX, {   # kink column 20, NaN in the residual
+        "surface.csv": "cbf11e264a5c18559c167d3e1596470b91cbb1d979fb359eae6069e6df0544c2",
+        "residual.csv": "abd49588d909b736389eee87523ed83742304a0eb25096f5a24d5034d1b6c9aa",
+        "law.csv": "721b7e7e00d30e0c4ef0bf1c2a1a2e7a429ab454172ccba5f82d4c26f273ea4d"}),
+], ids=["classical", "viscosity"])
+def test_solve_artifacts_golden_digests(tmp_path, capsys, extra, digests):
+    code, _, _ = run(capsys, ["solve", "--out", str(tmp_path), *GOLDEN_PDE, *extra])
+    assert code == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests
 
 
 def test_verify_viscosity_pass_and_fail(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rfbsde import (ConfigError, HamiltonianQuery, KinkColumnError,
                     SpaceTimeGrid, StabilityError, hamiltonian,
                     inf_hamiltonian, residual, solve_obstacle_hjb)
-from rfbsde.hjb import candidate_surface, write_surface_csv
+from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
 from rfbsde.model import ControlModel, ControlSet, example_classical, example_viscosity
 
 E2 = math.exp(2.0)
@@ -292,3 +293,88 @@ def test_product_control_set_refused():
         hamiltonian(product, q)
     with pytest.raises(ConfigError):
         inf_hamiltonian(product, 0.0, 1.0, 1.0, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient tables, edge rules and the CSV format
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fn", [
+    lambda r, x, *rest: 0.7,
+    lambda r, x, *rest: 2.0 * x,
+    lambda r, x, *rest: x * rest[-1] + 1.0,
+], ids=["float", "row", "table"])
+def test_coefficients_broadcast_each_return_shape(fn):
+    m = dataclasses.replace(example_classical(), drift=fn, diffusion=fn, driver=fn)
+    x = np.linspace(-1.0, 1.0, 6)[None, :]
+    y = np.full((1, 6), 0.3)
+    p = np.full((1, 6), 2.0)
+    u = np.array([0.0, 0.5, 1.0])[:, None]
+    sig, b, f = coefficients(m, 0.0, x, y, p, u)
+    sig_ref = np.broadcast_to(np.asarray(fn(0.0, x, u), dtype=float), (3, 6))
+    b_ref = np.broadcast_to(np.asarray(fn(0.0, x, u), dtype=float), (3, 6))
+    f_ref = np.broadcast_to(np.asarray(fn(0.0, x, y, p * sig_ref, u), dtype=float), (3, 6))
+    for got, ref in ((sig, sig_ref), (b, b_ref), (f, f_ref)):
+        assert got.shape == (3, 6)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_policy_iteration_with_scalar_coefficients():
+    m = example_classical()
+    # W = x is exact: W_x = 1 makes u = 0 the minimizer and the stencil is
+    # exact on linear data; diffusion and driver return plain floats
+    scalar = ControlModel(
+        name="scalar-noise", drift=lambda r, x, u: u + 0.0 * x,
+        diffusion=lambda r, x, u: 0.5, driver=lambda r, x, y, z, u: 0.0,
+        terminal=m.terminal, obstacle=lambda r, x: np.asarray(x, dtype=float) + 100.0,
+        control_set=m.control_set, horizon=1.0)
+    grid = SpaceTimeGrid(1.0, -2.0, 2.0, 20, 16)
+    surface = solve_obstacle_hjb(scalar, grid, scheme="implicit")
+    np.testing.assert_allclose(surface.values, np.broadcast_to(grid.xs, surface.values.shape),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_unknown_boundary_refused_before_any_step(classical_model, scheme):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    m = dataclasses.replace(classical_model, **{
+        name: counted(getattr(classical_model, name))
+        for name in ("drift", "diffusion", "driver", "terminal", "obstacle")})
+    grid = SpaceTimeGrid(1.0, 0.1, 5.0, 20, 10)
+    with pytest.raises(ConfigError, match="unknown boundary rule 'nonsense'"):
+        solve_obstacle_hjb(m, grid, scheme=scheme, boundary="nonsense")
+    assert calls == []
+
+
+def test_implicit_provenance_records_linear_edges(classical_model):
+    grid = SpaceTimeGrid(1.0, 0.1, 5.0, 40, 20)
+    s1 = solve_obstacle_hjb(classical_model, grid, scheme="implicit", boundary="extrap1")
+    s2 = solve_obstacle_hjb(classical_model, grid, scheme="implicit", boundary="extrap2")
+    assert s1.provenance == s2.provenance == "computed(scheme=implicit, boundary=extrap1)"
+    assert s1.values.tobytes() == s2.values.tobytes()
+
+
+def test_grid_csv_matches_per_element_repr(tmp_path):
+    grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, t_steps=2, x_steps=3)
+    rows = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                     [1e-05, 1e16, 5e-324, 0.1 + 0.2],
+                     [0.0, -1.5, 2.0 / 3.0, 1e300]])
+    comments = ["first", "second: 2"]
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, comments, grid, rows)
+    # the per-element formatting the writer must reproduce byte for byte
+    expected = "".join(f"# {line}\n" for line in comments)
+    expected += "time," + ",".join(repr(float(x)) for x in grid.xs) + "\n"
+    for i, t in enumerate(grid.times):
+        expected += repr(float(t)) + "," + ",".join(repr(float(v)) for v in rows[i]) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+    write_grid_csv(path, comments, grid, None)
+    assert path.read_bytes() == b"# first\n# second: 2\n"

@@ -165,3 +165,27 @@ def test_zero_model_cost_data():
     m = zero_model()
     assert m.driver(0.0, 1.0, 2.0, 3.0, 0.5) == 0.0
     assert m.obstacle(0.2, 0.7) == 1.0
+
+
+def test_assumptions_refuse_product_control_set(classical_model):
+    m = classical_model
+    product = ControlModel(
+        name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
+        terminal=m.terminal, obstacle=m.obstacle,
+        control_set=ControlSet(bounds=((0.0, 1.0), (0.0, 1.0)), grid_points=(2, 2)),
+        horizon=1.0)
+    probe = ProbeGrid(time_bounds=(0.0, 1.0), state_bounds=(0.1, 2.0))
+    with pytest.raises(ConfigError, match="only one control coordinate is supported"):
+        validate_assumptions(product, probe)
+
+
+def test_proportional_noise_matches_broadcast_arrays():
+    x = np.array([[-0.0, 0.0, -1.5, 2.0, 1e-300]])
+    u = np.array([[0.0], [-0.0], [1.0]])
+    for xi, ui in ((x, u), (x, 0.5), (-0.0, u), (-0.0, 0.5), (2.0, -0.0)):
+        old = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(ui, dtype=float))[0] + 0.0
+        new = model_module._proportional_noise(0.0, xi, ui)
+        assert np.shape(new) == np.shape(old)
+        # byte equality also tells -0.0 from +0.0
+        assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
