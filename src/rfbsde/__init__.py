@@ -6,7 +6,7 @@ from .errors import (BackwardSolverError, ConfigError, EvaluationError,
 from .model import (AssumptionReport, ControlModel, ControlSet, ProbeGrid,
                     build_model, example_classical, example_viscosity,
                     random_lipschitz_model, validate_assumptions, zero_model)
-from .simulate import (OpenLoopControl, PathEnsemble, TimeGrid, moment_check,
+from .simulate import (OpenLoopControl, PathEnsemble, TimeGrid,
                        simulate_closed_loop, simulate_paths)
 from .rbsde import (CostEstimate, RbsdeSolution, SolverConfig, cost_functional,
                     solve_penalized, solve_reflected, tree_oracle)

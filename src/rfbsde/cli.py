@@ -40,12 +40,11 @@ from .verify import (MembershipProbe, TripleTables, VerifyConfig,
 DEFAULTS = {
     "model": {"name": "example-classical", "horizon": 1.0, "control_points": 5},
     "pde": {"t_steps": 400, "x_steps": 100, "x_min": 0.1, "x_max": 5.0,
-            "scheme": "explicit", "cfl": "auto", "boundary": "extrap2",
-            "penalty_level": None, "surface": "computed"},
+            "scheme": "explicit", "cfl": "auto", "penalty_level": None,
+            "surface": "computed"},
     "mc": {"paths": 20000, "steps": 100, "seed": 7,
            "start_time": 0.0, "start_state": 1.0},
     "estimator": {"kind": "poly", "degree": 3, "bins": 32},
-    "penalty": {"n": 100.0},
     "solver": {"picard_iterations": 3},
     "tolerances": {"obstacle": 1e-9, "skorokhod": 1e-8, "z_match": 0.1,
                    "membership": 0.02, "nonmember": 0.05, "bias_budget": 0.05},
@@ -63,6 +62,7 @@ DEFAULTS = {
 
 _CANDIDATE_FOR = {"example-classical": "candidate-classical",
                   "example-viscosity": "candidate-viscosity"}
+_SURFACES = ("computed", "candidate")
 
 
 def _merge(base, update, path=""):
@@ -168,13 +168,27 @@ class _Run:
         return manifest
 
 
+def _at(cfg, key):
+    """The value at the dotted config ``key``."""
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _choice(cfg, key, options):
+    """The value at the dotted config ``key``; anything outside ``options``
+    is a config error naming the key."""
+    val = _at(cfg, key)
+    if val not in options:
+        raise ConfigError(f"config key '{key}' must be one of {list(options)}, got {val!r}")
+    return val
+
+
 def _num(cfg, key, cast=float):
     """The value at the dotted config ``key`` cast by ``cast`` (int or float);
     a value that does not convert, or would be truncated by ``int``, is a
     config error naming the key."""
-    val = cfg
-    for part in key.split("."):
-        val = val[part]
+    val = _at(cfg, key)
     try:
         out = cast(val)
         exact = cast is not int or out == float(val)
@@ -195,7 +209,6 @@ def _solver_config(cfg):
     return SolverConfig(estimator=cfg["estimator"]["kind"],
                         degree=_num(cfg, "estimator.degree", int),
                         bins=_num(cfg, "estimator.bins", int),
-                        penalty_level=_num(cfg, "penalty.n"),
                         picard_iterations=_num(cfg, "solver.picard_iterations", int),
                         tol_obstacle=_num(cfg, "tolerances.obstacle"),
                         tol_skorokhod=_num(cfg, "tolerances.skorokhod"))
@@ -234,17 +247,17 @@ def _surface_for(cfg, model, choice):
     if choice == "candidate" and name is not None:
         return candidate_surface(name, _pde_grid(cfg, model))
     p = cfg["pde"]
+    level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
     return solve_obstacle_hjb(model, _pde_grid(cfg, model),
                               scheme=p["scheme"], cfl=p["cfl"],
-                              boundary=p["boundary"],
-                              penalty_level=p["penalty_level"])
+                              penalty_level=level)
 
 
 def cmd_solve(cfg):
     run = _Run(cfg, "solve")
     model = _model_from(cfg)
     grid = _pde_grid(cfg, model)
-    choice = cfg["pde"]["surface"]
+    choice = _choice(cfg, "pde.surface", _SURFACES)
     if choice == "candidate" and model.name not in _CANDIDATE_FOR:
         raise ConfigError(f"no candidate surface for model '{model.name}'")
     t0 = time.time()
@@ -279,7 +292,7 @@ def cmd_cost(cfg):
     run = _Run(cfg, "cost")
     model = _model_from(cfg)
     mc = cfg["mc"]
-    method = cfg["cost"]["method"]
+    method = _choice(cfg, "cost.method", ("reflected", "feedback", "tree"))
     u0 = _num(cfg, "cost.control")
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
@@ -292,19 +305,17 @@ def cmd_cost(cfg):
                               _solver_config(cfg))
         value, stderr = est.value, est.stderr
     elif method == "feedback":
-        surface = _surface_for(cfg, model, cfg["verify"]["surface"])
+        surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
         law = extract_feedback(surface, model)
         grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
         est = evaluate_feedback(model, law, start_time, start_state, grid,
                                 _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                 _solver_config(cfg), allow_irregular=True)
         value, stderr = est.value, est.stderr
-    elif method == "tree":
+    else:
         value = tree_oracle(model, start_time, start_state,
                             lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
         stderr = 0.0
-    else:
-        raise ConfigError(f"unknown cost method '{method}'")
     run.timings["cost"] = round(time.time() - t0, 3)
 
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"
@@ -331,26 +342,29 @@ def cmd_verify(cfg):
     model = _model_from(cfg)
     vcfg = _verify_config(cfg)
     v = cfg["verify"]
+    # refused before the surface solve, which can be the costly part
+    mode = _choice(cfg, "verify.mode", ("classical", "viscosity", "feedback"))
+    tables_from = _choice(cfg, "verify.tables", ("surface", "triple"))
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
     triple = tuple(_num(cfg, f"verify.triple.{k}")
                    for k in ("time_slope", "gradient", "curvature"))
-    surface = _surface_for(cfg, model, v["surface"])
-    if v["mode"] in ("classical", "feedback"):
+    surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
+    if mode in ("classical", "feedback"):
         if v["constant_law"] is not None:
             law = FeedbackLaw.constant(_num(cfg, "verify.constant_law"),
                                        model.control_set)
         else:
             law = extract_feedback(surface, model)
 
-    if v["mode"] == "classical":
+    if mode == "classical":
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         vcfg.battery_random,
                                         vcfg.battery_switches)
         report = verify_classical(model, surface, start_time, start_state,
                                   law, battery, vcfg)
-    elif v["mode"] == "viscosity":
-        u0 = model.control_set.bounds[0][0] if v["control"] is None \
+    elif mode == "viscosity":
+        u0 = model.control_set.lo if v["control"] is None \
             else _num(cfg, "verify.control")
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         min(vcfg.battery_random, 5),
@@ -359,15 +373,13 @@ def cmd_verify(cfg):
             model, surface, start_time, start_state,
             OpenLoopControl.constant(u0),
             lambda s, x: triple, vcfg, battery=battery)
-    elif v["mode"] == "feedback":
-        if v["tables"] == "surface":
+    else:
+        if tables_from == "surface":
             tables = tables_from_surface(surface)
         else:
             tables = TripleTables(*(np.full(surface.values.shape, c) for c in triple))
         report = verify_feedback_optimality(model, surface, law, tables,
                                             start_time, start_state, vcfg)
-    else:
-        raise ConfigError(f"unknown verify mode '{v['mode']}'")
 
     _write_report(run, report)
     run.extra["status"] = report.status

@@ -9,12 +9,15 @@ with the generator-plus-driver Hamiltonian
 
     H(r, x, y, p, P, u) = tr[(1/2) sigma sigma^T P] + p . b + f(r, x, y, p . sigma, u).
 
-Space is truncated to a box (the continuous problem lives on the whole line);
-edge columns carry no artificial boundary data and are refilled from interior
-values by one-sided extrapolation after each step.  The explicit scheme is
-monotone under the parabolic step-size bound; requested time steps above the
-bound are split into internal substeps unless strict mode is selected, in
-which case the solver refuses and reports the required step.
+The control is one scalar coordinate searched over the control set's
+interval grid.  Space is truncated to a box (the continuous problem lives on
+the whole line); edge columns carry no artificial boundary data: the explicit
+scheme refills them by quadratic extrapolation from interior values after
+each step, and the implicit scheme's edge rows impose linear extrapolation.
+The explicit scheme is monotone under the parabolic step-size bound;
+requested time steps above the bound are split into internal substeps unless
+strict mode is selected, in which case the solver refuses and reports the
+required step.
 """
 
 import math
@@ -25,8 +28,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, EvaluationError, KinkColumnError, StabilityError, BackwardSolverError
-from .model import control_grid
 from .rbsde import _barrier_resolve
+
+_POLICY_SHIFT_TOL = 1e-9    # policy iteration stops below this relative shift
+_POLICY_ITERATIONS = 80     # and refuses the time step after this many solves
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,6 @@ def _assemble(coef, p, pp):
 
 def hamiltonian(model, query):
     """Generator-plus-driver value at one (time, state, expansion, control)."""
-    control_grid(model)  # refuses product control sets
     if not model.control_set.contains(query.control):
         raise ConfigError(f"control {query.control} outside the control set")
     coef = coefficients(model, query.time, query.state, query.value,
@@ -241,7 +245,7 @@ def inf_hamiltonian(model, t, x, y, p, pp):
     Ties within 1e-12 * (1 + |minimum|) are kept; the canonical minimizer is
     the smallest control on the grid.
     """
-    u_grid = control_grid(model)
+    u_grid = model.control_set.points()
     values = _hamiltonian_grid(model, t, np.array([x]), np.array([y]),
                                np.array([p]), np.array([pp]), u_grid)[:, 0]
     if not np.all(np.isfinite(values)):
@@ -254,7 +258,7 @@ def inf_hamiltonian(model, t, x, y, p, pp):
 
 def _coefficient_bounds(model, grid):
     """Sampled sup of sigma^2 and |b| over the box, for the step-size bound."""
-    u_grid = control_grid(model)
+    u_grid = model.control_set.points()
     s2max, bmax = 0.0, 0.0
     for t in (0.0, 0.5 * grid.horizon, grid.horizon):
         for u in u_grid:
@@ -265,50 +269,44 @@ def _coefficient_bounds(model, grid):
     return s2max, bmax
 
 
-def _fill_edges(w, boundary):
-    if boundary == "extrap2":
-        w[0] = 3 * w[1] - 3 * w[2] + w[3]
-        w[-1] = 3 * w[-2] - 3 * w[-3] + w[-4]
-    else:
-        w[0] = 2 * w[1] - w[2]
-        w[-1] = 2 * w[-2] - w[-3]
-
-
 def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
-                       boundary="extrap2", penalty_level=None,
-                       policy_tol=1e-9, policy_budget=80):
+                       penalty_level=None):
     """Backward solve of the obstacle equation on the grid.
 
+    The infimum is over the grid of the model's one control interval.
     ``scheme='explicit'`` steps with central differences and an exhaustive
-    control-grid infimum; steps above the parabolic bound are split into
-    substeps (``cfl='strict'`` refuses instead); ``boundary`` ('extrap2' or
-    'extrap1') is its rule for refilling the edge columns after each step.
-    ``scheme='implicit'`` runs policy iteration with a banded implicit
-    generator per time step; its edge rows always impose linear
-    extrapolation, so it records ``boundary=extrap1`` whatever ``boundary``
-    names (an unknown name is refused by both schemes).  With
-    ``penalty_level`` set, the hard projection onto the barrier is replaced
-    by the soft penalty resolve, which is how the penalty approximation of
-    the variational inequality is exposed for convergence studies.
+    control-grid infimum, refilling the edge columns by quadratic
+    extrapolation (``boundary=extrap2`` in the provenance); steps above the
+    parabolic bound are split into substeps (``cfl='strict'`` refuses
+    instead).  ``scheme='implicit'`` runs policy iteration with a banded
+    implicit generator per time step whose edge rows impose linear
+    extrapolation (``boundary=extrap1``).  With a positive ``penalty_level``
+    the hard projection onto the barrier is replaced by the soft penalty
+    resolve, which is how the penalty approximation of the variational
+    inequality is exposed for convergence studies; the provenance then ends
+    in ``penalty=<level>``.  Bad arguments are refused before any model call.
     """
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
-    if boundary not in ("extrap1", "extrap2"):
-        raise ConfigError(f"unknown boundary rule '{boundary}'")
-    if scheme == "explicit":
-        values, meta = _solve_explicit(model, grid, cfl, boundary, penalty_level)
-    elif scheme == "implicit":
-        values, meta = _solve_policy_iteration(model, grid, penalty_level,
-                                               policy_tol, policy_budget)
-    else:
+    if scheme not in ("explicit", "implicit"):
         raise ConfigError("scheme must be 'explicit' or 'implicit'")
+    if cfl not in ("auto", "strict"):
+        raise ConfigError("cfl must be 'auto' or 'strict'")
+    if penalty_level is not None and not penalty_level > 0:
+        raise ConfigError(f"penalty level must be positive, got {penalty_level!r}")
+    if scheme == "explicit":
+        values, meta = _solve_explicit(model, grid, cfl, penalty_level)
+    else:
+        values, meta = _solve_policy_iteration(model, grid, penalty_level)
+    if penalty_level is not None:
+        meta += f", penalty={penalty_level:g}"
     return ValueSurface(grid=grid, values=values,
                         provenance=f"computed({meta})",
                         kink_columns=grid.columns_near(model.value_kinks),
                         model_name=model.name)
 
 
-def _solve_explicit(model, grid, cfl, boundary, penalty_level):
+def _solve_explicit(model, grid, cfl, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     s2max, bmax = _coefficient_bounds(model, grid)
     stable_dt = dx * dx / max(s2max + bmax * dx, 1e-300)
@@ -317,10 +315,8 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
         raise StabilityError(
             f"explicit step dt={dt:.6g} violates the stability bound; "
             f"required dt <= {stable_dt:.6g}", required_dt=stable_dt)
-    if cfl not in ("auto", "strict"):
-        raise ConfigError("cfl must be 'auto' or 'strict'")
 
-    ucol = control_grid(model)[:, None]
+    ucol = model.control_set.points()[:, None]
     times = grid.times
     values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
@@ -337,23 +333,20 @@ def _solve_explicit(model, grid, cfl, boundary, penalty_level):
             coef = coefficients(model, t_lvl, x_row, w[None, 1:-1], wx[None, :], ucol)
             w_new = np.empty_like(w)
             w_new[1:-1] = w[1:-1] + sub_dt * _assemble(coef, wx, wxx).min(axis=0)
-            _fill_edges(w_new, boundary)
+            w_new[0] = 3 * w_new[1] - 3 * w_new[2] + w_new[3]
+            w_new[-1] = 3 * w_new[-2] - 3 * w_new[-3] + w_new[-4]
             barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
             w = _barrier_resolve(w_new, barrier, penalty_level, sub_dt)
             if not np.isfinite(w).all():
                 raise BackwardSolverError(
                     f"explicit scheme produced non-finite values near t={t_new:.4g}")
         values[i] = w
-    meta = f"scheme=explicit, substeps={substeps}, boundary={boundary}"
-    if penalty_level is not None:
-        meta += f", penalty={penalty_level:g}"
-    return values, meta
+    return values, f"scheme=explicit, substeps={substeps}, boundary=extrap2"
 
 
-def _solve_policy_iteration(model, grid, penalty_level, policy_tol,
-                            policy_budget):
+def _solve_policy_iteration(model, grid, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
-    ucol = control_grid(model)[:, None]
+    ucol = model.control_set.points()[:, None]
     times = grid.times
     n = grid.x_steps + 1
     values = np.empty((grid.t_steps + 1, n))
@@ -367,7 +360,7 @@ def _solve_policy_iteration(model, grid, penalty_level, policy_tol,
         t_new = times[i]
         barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
         converged = False
-        for _ in range(policy_budget):
+        for _ in range(_POLICY_ITERATIONS):
             wx = (w[2:] - w[:-2]) / (2 * dx)
             wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
             coef = coefficients(model, t_new, x_int[None, :], w[None, 1:-1],
@@ -395,7 +388,7 @@ def _solve_policy_iteration(model, grid, penalty_level, policy_tol,
             w_new = _barrier_resolve(w_new, barrier, penalty_level, dt)
             shift = float(np.max(np.abs(w_new - w)))
             w = w_new
-            if shift <= policy_tol * (1.0 + float(np.max(np.abs(w)))):
+            if shift <= _POLICY_SHIFT_TOL * (1.0 + float(np.max(np.abs(w)))):
                 converged = True
                 break
         if not converged:
@@ -413,7 +406,7 @@ def residual(surface, model):
     """
     grid = surface.grid
     out = np.full_like(surface.values, np.nan)
-    u_grid = control_grid(model)
+    u_grid = model.control_set.points()
     xs = grid.xs
     for i in range(1, grid.t_steps):
         wt, wx, wxx = surface.derivative_rows(i)

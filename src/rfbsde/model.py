@@ -2,8 +2,9 @@
 
 A :class:`ControlModel` bundles the drift, diffusion, running driver, terminal
 cost and obstacle of one control problem, together with the compact control
-set and declared regularity flags.  Models are immutable and safe to share
-across workers; every operation here is pure given its seed.
+set (one interval of a scalar control) and declared regularity flags.  Models
+are immutable and safe to share across workers; every operation here is pure
+given its seed.
 
 State and noise are scalar.  Coefficient callables receive plain floats or
 numpy arrays and must broadcast: called with a state row of shape ``(1, n)``
@@ -31,68 +32,50 @@ DECLARED_FLAGS = ("A1", "A2", "A3", "A4")
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Compact control set: a product of closed intervals with a search grid.
+    """Compact control set: one closed interval [lo, hi] with a search grid.
 
-    The infimum over controls is always taken over the finite grid, so
-    ``grid_points`` fixes the resolution of every argmin in the package.
+    The control is a single coordinate; a product of intervals is refused
+    here, at construction.  The infimum over controls is always taken over
+    the finite grid, so ``grid_points`` fixes the resolution of every argmin
+    in the package.
     """
 
-    bounds: tuple
-    grid_points: tuple
+    lo: float
+    hi: float
+    grid_points: int
 
     def __post_init__(self):
-        if len(self.bounds) == 0:
-            raise ConfigError("control set must have at least one coordinate")
-        if len(self.bounds) != len(self.grid_points):
-            raise ConfigError("bounds and grid_points length mismatch")
-        for (lo, hi), k in zip(self.bounds, self.grid_points):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"bad control interval [{lo}, {hi}]")
-            if k < 2 and lo < hi:
-                raise ConfigError("grid_points must be >= 2 on a nondegenerate interval")
-            if k < 1:
-                raise ConfigError("grid_points must be >= 1")
+        if np.ndim(self.lo) or np.ndim(self.hi) or np.ndim(self.grid_points):
+            raise ConfigError("only one control coordinate is supported")
+        lo, hi, k = float(self.lo), float(self.hi), int(self.grid_points)
+        object.__setattr__(self, "lo", lo)      # frozen: store plain scalars
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "grid_points", k)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"bad control interval [{lo}, {hi}]")
+        if k < 2 and lo < hi:
+            raise ConfigError("grid_points must be >= 2 on a nondegenerate interval")
+        if k < 1:
+            raise ConfigError("grid_points must be >= 1")
 
     @classmethod
     def interval(cls, lo, hi, points=5):
-        """One-dimensional control set on [lo, hi]."""
-        return cls(bounds=((float(lo), float(hi)),), grid_points=(int(points),))
-
-    @property
-    def dim(self):
-        return len(self.bounds)
-
-    @property
-    def lower(self):
-        return np.array([b[0] for b in self.bounds])
-
-    @property
-    def upper(self):
-        return np.array([b[1] for b in self.bounds])
+        """Control set on [lo, hi] searched over ``points`` grid controls."""
+        return cls(lo=lo, hi=hi, grid_points=points)
 
     def points(self):
-        """Search grid.  Shape (K,) for one control coordinate, else (K, m)."""
-        axes = [np.linspace(lo, hi, k) if k > 1 else np.array([lo])
-                for (lo, hi), k in zip(self.bounds, self.grid_points)]
-        if self.dim == 1:
-            return axes[0]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """Search grid, shape (grid_points,)."""
+        if self.grid_points > 1:
+            return np.linspace(self.lo, self.hi, self.grid_points)
+        return np.array([self.lo])
 
     def contains(self, values, tol=1e-9):
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        if self.dim == 1:
-            lo, hi = self.bounds[0]
-            return bool(np.all(v >= lo - tol) and np.all(v <= hi + tol))
-        v = v.reshape(-1, self.dim)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        v = np.asarray(values, dtype=float)
+        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
 
     def clip(self, values):
-        """Project values onto the box."""
-        if self.dim == 1:
-            lo, hi = self.bounds[0]
-            return np.clip(values, lo, hi)
-        return np.clip(values, self.lower, self.upper)
+        """Project values onto the interval."""
+        return np.clip(values, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -121,14 +104,6 @@ class ControlModel:
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ConfigError("horizon must be a positive real")
-
-
-def control_grid(model):
-    """The control search grid; the solvers take one control coordinate."""
-    u_grid = np.atleast_1d(model.control_set.points())
-    if u_grid.ndim > 1:
-        raise ConfigError("only one control coordinate is supported")
-    return u_grid
 
 
 @dataclass(frozen=True)
@@ -221,7 +196,7 @@ def validate_assumptions(model, probe, seed=0):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     ts = probe.axis(probe.time_bounds)
     xs = probe.axis(probe.state_bounds)
-    us = control_grid(model)
+    us = model.control_set.points()
     ys = probe.axis(probe.value_bounds)
     zs = probe.axis(probe.value_bounds)
     # a few random cross sections keep the lattice from hiding anisotropy

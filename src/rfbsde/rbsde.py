@@ -27,6 +27,9 @@ from .simulate import law_controls, simulate_paths
 
 _DEGENERATE_STD = 1e-12
 _PIVOT_RATIO = 1e-10
+_FIXED_POINT_TOL = 1e-4     # relative driver residual accepted after the sweeps
+_BOOTSTRAP_DRAWS = 64       # resamples behind the reported standard error
+_TREE_SWEEPS = 3            # driver fixed-point sweeps per tree node
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,9 @@ class SolverConfig:
     estimator: str = "poly"       # "poly" | "bins"
     degree: int = 3
     bins: int = 32
-    penalty_level: float = 100.0  # used by solve_penalized when not overridden
     picard_iterations: int = 3
-    picard_tol: float = 1e-4      # relative residual accepted after the budget
     tol_obstacle: float = 1e-9
     tol_skorokhod: float = 1e-8
-    bootstrap_samples: int = 64
 
     def __post_init__(self):
         if self.estimator not in ("poly", "bins"):
@@ -48,8 +48,6 @@ class SolverConfig:
             raise ConfigError("regression degree must be >= 1")
         if self.bins < 2:
             raise ConfigError("bin count must be >= 2")
-        if self.penalty_level <= 0:
-            raise ConfigError("penalty level must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,7 @@ def _backward_pass(model, ensemble, config, penalty_level):
         # geometric-tail estimate of the remaining fixed-point error
         rate = shift / prev_shift if math.isfinite(prev_shift) and prev_shift > 0 else 0.0
         tail = shift * rate / max(1.0 - rate, 1e-12)
-        if rate >= 1.0 or tail > config.picard_tol * scale:
+        if rate >= 1.0 or tail > _FIXED_POINT_TOL * scale:
             raise BackwardSolverError(
                 f"driver fixed point not converged at step {i} "
                 f"(residual {shift:.3e}, contraction {rate:.3g}, budget {budget})")
@@ -241,16 +239,16 @@ def _backward_pass(model, ensemble, config, penalty_level):
                          pushes=pushes, diagnostics=diagnostics)
 
 
-def solve_penalized(model, ensemble, penalty_level=None, config=SolverConfig()):
-    """Penalty scheme: soft barrier with strength ``penalty_level``.
+def solve_penalized(model, ensemble, penalty_level, config=SolverConfig()):
+    """Penalty scheme: soft barrier with positive strength ``penalty_level``.
 
     The implicit one-step equation in the value (driver plus penalty term) is
     solved by a fixed-point sweep for the driver and an exact piecewise-linear
     resolve for the penalty, which keeps the step stable for arbitrarily large
     penalty levels.  The reflection component stays zero.
     """
-    level = config.penalty_level if penalty_level is None else float(penalty_level)
-    if level <= 0:
+    level = float(penalty_level)
+    if not level > 0:
         raise ConfigError("penalty level must be positive")
     return _backward_pass(model, ensemble, config, penalty_level=level)
 
@@ -298,12 +296,12 @@ def _node0_estimate(model, ensemble, config):
     value = sol.value[:, 0].mean()
     xi = _path_contributions(model, ensemble, sol)
     n_paths = ensemble.n_paths
-    if config.bootstrap_samples > 1 and n_paths > 1:
+    if n_paths > 1:
         gen = np.random.Generator(
             np.random.Philox(key=(ensemble.seed + 0x0B00) & (2**63 - 1)))
         boots = np.array([
             xi[gen.integers(0, n_paths, size=n_paths)].mean()
-            for _ in range(config.bootstrap_samples)])
+            for _ in range(_BOOTSTRAP_DRAWS)])
         stderr = float(boots.std(ddof=1))
     else:
         stderr = 0.0
@@ -323,8 +321,7 @@ def cost_functional(model, start_time, start_state, control, grid, n_paths, seed
     return _node0_estimate(model, ensemble, config)
 
 
-def tree_oracle(model, start_time, start_state, policy, depth,
-                picard_iterations=3):
+def tree_oracle(model, start_time, start_state, policy, depth):
     """Binomial-tree value for a deterministic feedback policy.
 
     Children match the first two conditional moments of one Euler step, with
@@ -374,7 +371,7 @@ def tree_oracle(model, start_time, start_state, policy, depth,
         g_mean = 0.5 * (g[0::2] + g[1::2])
         z = (up - dn) / (2.0 * sq)
         yi = cont.copy()
-        for _ in range(max(1, picard_iterations)):
+        for _ in range(_TREE_SWEEPS):
             yi = cont + 0.5 * dt * (
                 np.asarray(model.driver(times[i], s, yi, z, u), dtype=float) + g_mean)
         barrier = np.asarray(model.obstacle(times[i], s), dtype=float)
@@ -383,16 +380,3 @@ def tree_oracle(model, start_time, start_state, policy, depth,
         y = yi
 
     return float(y[0])
-
-
-def write_solution_csv(solution, ensemble, path):
-    """Dump (value, slope, reflection) per path and node, diagnostics appended."""
-    with open(path, "w") as fh:
-        fh.write("path,node,value,slope,reflection\n")
-        n_paths, n_nodes = solution.value.shape
-        for m in range(n_paths):
-            for i in range(n_nodes):
-                fh.write(f"{m},{i},{solution.value[m, i]!r},"
-                         f"{solution.slope[m, i]!r},{solution.reflection[m, i]!r}\n")
-        for key, val in solution.diagnostics.items():
-            fh.write(f"# {key}: {val}\n")

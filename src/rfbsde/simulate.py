@@ -109,7 +109,6 @@ class PathEnsemble:
     increments: np.ndarray
     controls: np.ndarray
     seed: int
-    start_state: np.ndarray
 
     @property
     def n_paths(self):
@@ -167,8 +166,7 @@ def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
         states[:, i + 1] = nxt
 
     return PathEnsemble(grid=grid, states=states, increments=dW,
-                        controls=controls, seed=int(seed),
-                        start_state=np.asarray(start_state, dtype=float))
+                        controls=controls, seed=int(seed))
 
 
 def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed):
@@ -193,39 +191,3 @@ def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, see
     """
     return _euler(model, start_time, start_state, grid, n_paths, seed,
                   lambda i, t, x: law_controls(model, law, t, x))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    order: int
-    sup_moment: float
-    growth_ratio: float
-
-
-def moment_check(ensemble, order=2):
-    """Empirical sup-moment of the paths against (1 + |x0|^k).
-
-    A sanity gate for the standard moment growth of the state process, not a
-    proof: the ratio should stay bounded as the ensemble grows.
-    """
-    if order not in (2, 4):
-        raise ConfigError("order must be 2 or 4")
-    sup = np.abs(ensemble.states).max(axis=1)
-    x0 = float(np.abs(ensemble.start_state.reshape(())))
-    sup_moment = float(np.mean(sup ** order))
-    return MomentReport(order=order, sup_moment=sup_moment,
-                        growth_ratio=sup_moment / (1.0 + x0 ** order))
-
-
-def write_ensemble_csv(ensemble, path):
-    """Dump paths as CSV with a header documenting grid and seed."""
-    nodes = ensemble.grid.nodes
-    with open(path, "w") as fh:
-        fh.write(f"# grid start={ensemble.grid.start!r} end={ensemble.grid.end!r} "
-                 f"steps={ensemble.grid.steps} seed={ensemble.seed}\n")
-        fh.write("path,node,time,state,control\n")
-        for m in range(ensemble.n_paths):
-            for i in range(ensemble.grid.steps + 1):
-                sv = repr(float(ensemble.states[m, i]))
-                u = repr(float(ensemble.controls[m, i])) if i < ensemble.grid.steps else ""
-                fh.write(f"{m},{i},{nodes[i]!r},{sv},{u}\n")

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .hjb import _hamiltonian_grid, write_grid_csv
-from .model import control_grid
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import simulate_closed_loop
 
@@ -63,7 +62,7 @@ def extract_feedback(surface, model):
     grid, so the table is deterministic.
     """
     grid = surface.grid
-    u_grid = control_grid(model)
+    u_grid = model.control_set.points()
     table = np.empty_like(surface.values)
     xs = grid.xs
     for i in range(grid.t_steps + 1):
@@ -99,8 +98,7 @@ def check_law_regularity(law):
     jumps = np.abs(np.diff(law.table, axis=1))
     worst = float(jumps.max()) if jumps.size else 0.0
     lip = worst / dx
-    lo, hi = law.control_set.bounds[0]
-    span = max(hi - lo, 1e-300)
+    span = max(law.control_set.hi - law.control_set.lo, 1e-300)
     return LawRegularityReport(lipschitz_constant=lip, worst_jump=worst,
                                member=bool(worst <= 0.5 * span))
 

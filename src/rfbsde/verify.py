@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, KinkColumnError
 from .hjb import coefficients, inf_hamiltonian
-from .model import control_grid
 from .rbsde import SolverConfig, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback
@@ -251,9 +250,9 @@ def build_control_battery(model, start_time, seed, n_random=20, n_switch=8):
     control box, the random piecewise-constant processes exercise switching.
     """
     battery = []
-    for u in control_grid(model):
+    for u in model.control_set.points():
         battery.append((f"const:{u:g}", OpenLoopControl.constant(float(u))))
-    lo, hi = model.control_set.bounds[0]
+    lo, hi = model.control_set.lo, model.control_set.hi
     horizon = model.horizon
     for k in range(n_random):
         gen = np.random.Generator(np.random.Philox(key=(int(seed) + 7919 * (k + 1)) & (2**63 - 1)))

@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 import rfbsde
-from rfbsde.cli import main
+from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
+                        load_config, main)
 
 FAST_MC = ["--set", "mc.paths=2000", "--set", "mc.steps=50"]
 FAST_PDE = ["--set", "pde.t_steps=200", "--set", "pde.x_steps=60"]
@@ -216,9 +217,112 @@ def test_solve_candidate_surface_residual_run(tmp_path, capsys):
 def test_estimator_and_penalty_keys(tmp_path, capsys):
     code, _, _ = run(capsys, ["cost", "--out", str(tmp_path),
                               "--set", "estimator.kind=bins",
-                              "--set", "estimator.bins=16",
-                              "--set", "penalty.n=50.0", *FAST_MC])
+                              "--set", "estimator.bins=16", *FAST_MC])
     assert code == 0
+
+    # the PDE penalty is pde.penalty_level; it reaches the surface provenance
+    code, out, _ = run(capsys, ["solve", "--out", str(tmp_path),
+                                "--set", "pde.penalty_level=50", *FAST_PDE])
+    assert code == 0
+    assert "penalty=50)" in out
+    for bad in ("pde.penalty_level=-5", "pde.penalty_level=0", "pde.penalty_level=high"):
+        code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", bad])
+        assert code == 2
+        assert err.startswith("ERROR[config]")
+    # keys that no solver reads are not in the schema: unknown keys, exit 2
+    for gone in ("penalty.n=50.0", "pde.boundary=extrap1"):
+        code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", gone])
+        assert code == 2
+        assert err.startswith("ERROR[config]: unknown config key")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["solve", "--set", "pde.surface=bogus"], "pde.surface"),
+    (["verify", "--set", "verify.surface=nonsense"], "verify.surface"),
+    (["cost", "--set", "cost.method=feedback", "--set", "verify.surface=nonsense"],
+     "verify.surface"),
+    (["verify", "--set", "verify.mode=feedback", "--set", "verify.tables=bogus",
+      *FAST_PDE, *FAST_MC], "verify.tables"),
+    (["verify", "--set", "verify.mode=bogus", "--set", "verify.surface=computed"],
+     "verify.mode"),
+    (["cost", "--set", "cost.method=bogus"], "cost.method"),
+], ids=["solve-surface", "verify-surface", "cost-surface", "verify-tables",
+        "verify-mode", "cost-method"])
+def test_choice_keys_refused(tmp_path, capsys, argv, key):
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("ERROR[config]")
+    assert key in err
+
+
+GOLDEN_MC = ["--set", "mc.paths=2000", "--set", "mc.steps=20"]
+VISCOSITY_COST = [*VISCOSITY_BOX, "--set", "mc.start_state=-0.5",
+                  "--set", "cost.control=1.0", *GOLDEN_PDE]
+
+
+@pytest.mark.parametrize("extra, method, digest", [
+    ([], "reflected", "323e9c6a113c8d118e040958c298b157e96e63574dcc5489a939ba7127af17a1"),
+    ([], "feedback", "a633d9de99a1c59fc9f6c06c824b6f0da2212e357825b5db0b16f69ca1fc2e10"),
+    ([], "tree", "eb16caa989996228c9a6588bb175c1942499fd2993c0d52588f69a023e6c7219"),
+    # off the obstacle cap, so the value itself is pinned, not only e^2
+    (VISCOSITY_COST, "reflected",
+     "e82d265b3461d077fddc71aa4893ca0bf02db2ffc16dfb5c08cfcb9df7b7be25"),
+    (VISCOSITY_COST, "feedback",
+     "d7c2330faedc18e83591ee3af6a0116dcfe1ea41965eec095e8de0c14017c09e"),
+    (VISCOSITY_COST, "tree",
+     "32227399a15f2253033ca5ab2447000eee0a68d4da0f621b1e15b7470ddd0c31"),
+], ids=["classical-reflected", "classical-feedback", "classical-tree",
+        "viscosity-reflected", "viscosity-feedback", "viscosity-tree"])
+def test_cost_csv_golden_digests(tmp_path, capsys, extra, method, digest):
+    code, _, _ = run(capsys, ["cost", "--out", str(tmp_path), *GOLDEN_MC, *extra,
+                              "--set", f"cost.method={method}"])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "cost.csv").read_bytes()).hexdigest() == digest
+
+
+class _ReadRecorder(dict):
+    """Nested config mapping that records the dotted key of every leaf read."""
+
+    def __init__(self, data, reads, prefix=""):
+        super().__init__({k: _ReadRecorder(v, reads, f"{prefix}{k}.")
+                          if isinstance(v, dict) else v for k, v in data.items()})
+        self._reads = reads
+        self._prefix = prefix
+
+    def __getitem__(self, key):
+        val = super().__getitem__(key)
+        if not isinstance(val, _ReadRecorder):
+            self._reads.add(self._prefix + key)
+        return val
+
+
+def _leaf_keys(tree, prefix=""):
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from _leaf_keys(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_default_key_is_read(tmp_path, capsys):
+    tiny = ["pde.t_steps=20", "pde.x_steps=10", "mc.paths=200", "mc.steps=40",
+            "cost.tree_depth=4", "verify.battery_random=1", "verify.battery_switches=2",
+            "verify.membership_times=2", "verify.membership_paths=2",
+            "verify.node_samples=2", "assumptions.points=3"]
+    runs = [(cmd_solve, []),
+            (cmd_cost, ["cost.method=reflected"]),
+            (cmd_cost, ["cost.method=feedback"]),
+            (cmd_cost, ["cost.method=tree"]),
+            (cmd_verify, ["verify.mode=classical"]),
+            (cmd_verify, ["verify.mode=viscosity"]),
+            (cmd_verify, ["verify.mode=feedback", "verify.tables=triple"]),
+            (cmd_assumptions, [])]
+    reads = set()
+    for k, (command, sets) in enumerate(runs):
+        cfg = load_config(None, sets=tiny + sets, out=str(tmp_path / str(k)))
+        assert command(_ReadRecorder(cfg, reads)) in (0, 1)
+    capsys.readouterr()
+    assert reads == set(_leaf_keys(DEFAULTS))
 
 
 def test_cost_csv_rewritten_on_rerun(tmp_path, capsys):

@@ -282,17 +282,22 @@ def test_surface_csv_deterministic(tmp_path, zero_surface):
 
 
 def test_product_control_set_refused():
+    # a product control set is refused when it is built, so neither
+    # hamiltonian nor inf_hamiltonian can be handed one
     m = example_classical()
-    product = ControlModel(
-        name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
-        terminal=m.terminal, obstacle=m.obstacle,
-        control_set=ControlSet(bounds=((0.0, 1.0), (0.0, 1.0)), grid_points=(2, 2)),
-        horizon=1.0)
     q = HamiltonianQuery(0.0, 1.0, 1.0, 1.0, 0.0, control=0.0)
-    with pytest.raises(ConfigError):
-        hamiltonian(product, q)
-    with pytest.raises(ConfigError):
-        inf_hamiltonian(product, 0.0, 1.0, 1.0, 1.0, 0.0)
+
+    def product_model():
+        return ControlModel(
+            name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
+            terminal=m.terminal, obstacle=m.obstacle,
+            control_set=ControlSet(lo=(0.0, 0.0), hi=(1.0, 1.0), grid_points=2),
+            horizon=1.0)
+
+    with pytest.raises(ConfigError, match="only one control coordinate is supported"):
+        hamiltonian(product_model(), q)
+    with pytest.raises(ConfigError, match="only one control coordinate is supported"):
+        inf_hamiltonian(product_model(), 0.0, 1.0, 1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +340,13 @@ def test_policy_iteration_with_scalar_coefficients():
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_unknown_boundary_refused_before_any_step(classical_model, scheme):
+@pytest.mark.parametrize("kwargs, message", [
+    ({"cfl": "nonsense"}, "cfl must be 'auto' or 'strict'"),
+    ({"penalty_level": -5.0}, "penalty level must be positive, got -5.0"),
+    ({"penalty_level": 0.0}, "penalty level must be positive, got 0.0"),
+], ids=["cfl", "penalty-negative", "penalty-zero"])
+def test_bad_solver_arguments_refused_before_any_step(classical_model, scheme,
+                                                      kwargs, message):
     calls = []
 
     def counted(fn):
@@ -348,17 +359,23 @@ def test_unknown_boundary_refused_before_any_step(classical_model, scheme):
         name: counted(getattr(classical_model, name))
         for name in ("drift", "diffusion", "driver", "terminal", "obstacle")})
     grid = SpaceTimeGrid(1.0, 0.1, 5.0, 20, 10)
-    with pytest.raises(ConfigError, match="unknown boundary rule 'nonsense'"):
-        solve_obstacle_hjb(m, grid, scheme=scheme, boundary="nonsense")
+    with pytest.raises(ConfigError, match=message):
+        solve_obstacle_hjb(m, grid, scheme=scheme, **kwargs)
     assert calls == []
 
 
 def test_implicit_provenance_records_linear_edges(classical_model):
     grid = SpaceTimeGrid(1.0, 0.1, 5.0, 40, 20)
-    s1 = solve_obstacle_hjb(classical_model, grid, scheme="implicit", boundary="extrap1")
-    s2 = solve_obstacle_hjb(classical_model, grid, scheme="implicit", boundary="extrap2")
-    assert s1.provenance == s2.provenance == "computed(scheme=implicit, boundary=extrap1)"
-    assert s1.values.tobytes() == s2.values.tobytes()
+    surface = solve_obstacle_hjb(classical_model, grid, scheme="implicit")
+    assert surface.provenance == "computed(scheme=implicit, boundary=extrap1)"
+
+
+def test_implicit_provenance_records_penalty(classical_model):
+    grid = SpaceTimeGrid(1.0, 0.1, 5.0, 40, 20)
+    soft = solve_obstacle_hjb(classical_model, grid, scheme="implicit", penalty_level=50.0)
+    assert soft.provenance == "computed(scheme=implicit, boundary=extrap1, penalty=50)"
+    explicit = solve_obstacle_hjb(classical_model, grid, penalty_level=50.0)
+    assert explicit.provenance.endswith(", boundary=extrap2, penalty=50)")
 
 
 def test_grid_csv_matches_per_element_repr(tmp_path):

@@ -11,7 +11,7 @@ from rfbsde.model import (ControlModel, build_model, example_classical,
 
 def test_control_set_validation():
     cs = ControlSet.interval(0.0, 1.0, 5)
-    assert cs.dim == 1
+    assert (cs.lo, cs.hi, cs.grid_points) == (0.0, 1.0, 5)
     np.testing.assert_allclose(cs.points(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert cs.contains([0.0, 1.0])
     assert not cs.contains(1.5)
@@ -20,14 +20,6 @@ def test_control_set_validation():
         ControlSet.interval(1.0, 0.0)
     with pytest.raises(ConfigError):
         ControlSet.interval(0.0, 1.0, points=1)
-
-
-def test_control_set_product_grid():
-    cs = ControlSet(bounds=((0.0, 1.0), (2.0, 3.0)), grid_points=(2, 3))
-    pts = cs.points()
-    assert pts.shape == (6, 2)
-    assert pts[0].tolist() == [0.0, 2.0]       # lexicographic order
-    assert cs.contains(pts)
 
 
 def test_classical_example_coefficients(classical_model):
@@ -168,15 +160,23 @@ def test_zero_model_cost_data():
 
 
 def test_assumptions_refuse_product_control_set(classical_model):
+    # the control is one scalar coordinate: a product of intervals is refused
+    # when the set is built, so validate_assumptions can never be handed one
     m = classical_model
-    product = ControlModel(
-        name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
-        terminal=m.terminal, obstacle=m.obstacle,
-        control_set=ControlSet(bounds=((0.0, 1.0), (0.0, 1.0)), grid_points=(2, 2)),
-        horizon=1.0)
     probe = ProbeGrid(time_bounds=(0.0, 1.0), state_bounds=(0.1, 2.0))
-    with pytest.raises(ConfigError, match="only one control coordinate is supported"):
+
+    def check(control_set):
+        product = ControlModel(
+            name="product", drift=m.drift, diffusion=m.diffusion, driver=m.driver,
+            terminal=m.terminal, obstacle=m.obstacle,
+            control_set=control_set(), horizon=1.0)
         validate_assumptions(product, probe)
+
+    for build in (lambda: ControlSet(lo=(0.0, 0.0), hi=(1.0, 1.0), grid_points=2),
+                  lambda: ControlSet(lo=0.0, hi=1.0, grid_points=(2, 2)),
+                  lambda: ControlSet.interval((0.0, 2.0), (1.0, 3.0), 2)):
+        with pytest.raises(ConfigError, match="only one control coordinate is supported"):
+            check(build)
 
 
 def test_proportional_noise_matches_broadcast_arrays():

@@ -338,17 +338,3 @@ def test_reflection_invariants_random_models(seed):
     assert sol.diagnostics["max_obstacle_violation"] == 0.0
     assert np.all(sol.pushes >= 0.0)
     assert np.all(np.diff(sol.reflection, axis=1) >= -0.0)
-
-
-def test_solution_csv_export(tmp_path):
-    model = trivial_model()
-    ens = simulate_paths(model, 0.0, 0.0, OpenLoopControl.constant(0.0),
-                         TimeGrid(0.0, 1.0, 4), 3, seed=1)
-    sol = solve_reflected(model, ens)
-    from rfbsde.rbsde import write_solution_csv
-    out = tmp_path / "sol.csv"
-    write_solution_csv(sol, ens, out)
-    text = out.read_text().splitlines()
-    assert text[0] == "path,node,value,slope,reflection"
-    assert len([l for l in text if l.startswith("#")]) >= 3
-    assert len([l for l in text if not l.startswith(("#", "path"))]) == 3 * 5

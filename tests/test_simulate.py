@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfbsde import (OpenLoopControl, SimulationError, TimeGrid, moment_check,
+from rfbsde import (OpenLoopControl, SimulationError, TimeGrid,
                     simulate_closed_loop, simulate_paths)
 from rfbsde.model import ControlSet, ControlModel, example_classical, example_viscosity
-from rfbsde.simulate import _DRAW_ROWS, write_ensemble_csv
+from rfbsde.simulate import _DRAW_ROWS
 
 
 def _flat_model():
@@ -127,33 +127,6 @@ def test_ensemble_columns_contiguous(classical_model):
             assert all(arr[:, i].flags.c_contiguous for i in range(arr.shape[1]))
 
 
-def test_moment_check_values(classical_model, viscosity_model):
-    flat = simulate_paths(_flat_model(), 0.0, 0.0, OpenLoopControl.constant(0.0),
-                          TimeGrid(0.0, 1.0, 10), 20, seed=0)
-    assert moment_check(flat, 2).sup_moment == 0.0
-
-    zero_start = simulate_paths(viscosity_model, 0.0, 0.0,
-                                OpenLoopControl.constant(1.0),
-                                TimeGrid(0.0, 1.0, 20), 50, seed=1)
-    assert moment_check(zero_start, 2).sup_moment == 0.0
-
-    r1 = moment_check(simulate_paths(classical_model, 0.0, 1.0,
-                                     OpenLoopControl.constant(0.0),
-                                     TimeGrid(0.0, 1.0, 100), 10000, seed=4), 2)
-    r2 = moment_check(simulate_paths(classical_model, 0.0, 1.0,
-                                     OpenLoopControl.constant(0.0),
-                                     TimeGrid(0.0, 1.0, 100), 20000, seed=4), 2)
-    assert math.isfinite(r1.growth_ratio)
-    assert abs(r1.growth_ratio - r2.growth_ratio) / r2.growth_ratio < 0.10
-
-
-def test_moment_check_rejects_odd_order(classical_model):
-    ens = simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(0.0),
-                         TimeGrid(0.0, 1.0, 10), 10, seed=0)
-    with pytest.raises(Exception):
-        moment_check(ens, 3)
-
-
 def test_control_outside_set_rejected(classical_model):
     with pytest.raises(SimulationError):
         simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(2.0),
@@ -178,17 +151,6 @@ def test_nonfinite_state_aborts():
     with pytest.raises(SimulationError):
         simulate_paths(blower, 0.0, 10.0, OpenLoopControl.constant(0.0),
                        TimeGrid(0.0, 1.0, 200), 4, seed=0)
-
-
-def test_csv_export_deterministic(tmp_path, classical_model):
-    ens = simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(0.0),
-                         TimeGrid(0.0, 1.0, 5), 4, seed=8)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_ensemble_csv(ens, p1)
-    write_ensemble_csv(ens, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert "seed=8" in header and "steps=5" in header
 
 
 @settings(max_examples=12, deadline=None)
