@@ -16,7 +16,7 @@ from .hjb import (HamiltonianQuery, SpaceTimeGrid, ValueSurface,
 from .synthesis import (FeedbackLaw, LawRegularityReport, check_law_regularity,
                         evaluate_feedback, extract_feedback)
 from .verify import (InequalitySample, MembershipProbe, MembershipResult,
-                     SuperdiffCandidate, SurfaceRegularityReport, TripleTables,
+                     SuperdiffCandidate, SurfaceRegularityReport,
                      VerificationReport, VerifyConfig, build_control_battery,
                      check_superdiff_membership, check_surface_regularity,
                      check_viscosity_inequalities, tables_from_surface,

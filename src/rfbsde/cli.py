@@ -32,7 +32,7 @@ from .model import ProbeGrid, build_model, validate_assumptions
 from .rbsde import SolverConfig, cost_functional, tree_oracle
 from .simulate import OpenLoopControl, TimeGrid
 from .synthesis import FeedbackLaw, evaluate_feedback, extract_feedback, write_law_csv
-from .verify import (MembershipProbe, TripleTables, VerifyConfig,
+from .verify import (MembershipProbe, VerifyConfig,
                      build_control_battery, tables_from_surface,
                      verify_classical, verify_feedback_optimality,
                      verify_viscosity_conditions)
@@ -45,7 +45,6 @@ DEFAULTS = {
     "mc": {"paths": 20000, "steps": 100, "seed": 7,
            "start_time": 0.0, "start_state": 1.0},
     "estimator": {"kind": "poly", "degree": 3, "bins": 32},
-    "solver": {"picard_iterations": 3},
     "tolerances": {"obstacle": 1e-9, "skorokhod": 1e-8, "z_match": 0.1,
                    "membership": 0.02, "nonmember": 0.05, "bias_budget": 0.05},
     "cost": {"method": "reflected", "control": 0.0, "tree_depth": 16},
@@ -186,18 +185,27 @@ def _choice(cfg, key, options):
 
 def _num(cfg, key, cast=float):
     """The value at the dotted config ``key`` cast by ``cast`` (int or float);
-    a value that does not convert, or would be truncated by ``int``, is a
-    config error naming the key."""
+    a boolean, a value that does not convert, or one that ``int`` would
+    truncate is a config error naming the key."""
     val = _at(cfg, key)
     try:
         out = cast(val)
-        exact = cast is not int or out == float(val)
+        exact = not isinstance(val, bool) and (cast is not int or out == float(val))
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"config key '{key}' must be {kind}, got {val!r}")
     return out
+
+
+def _control(cfg, key, model):
+    """``_num`` of ``key``, refused outside the model's control set."""
+    val, cs = _num(cfg, key), model.control_set
+    if not cs.contains(val):
+        raise ConfigError(f"config key '{key}' must lie in the control set "
+                          f"[{cs.lo:g}, {cs.hi:g}] of model '{model.name}', got {val!r}")
+    return val
 
 
 def _model_from(cfg):
@@ -209,7 +217,6 @@ def _solver_config(cfg):
     return SolverConfig(estimator=cfg["estimator"]["kind"],
                         degree=_num(cfg, "estimator.degree", int),
                         bins=_num(cfg, "estimator.bins", int),
-                        picard_iterations=_num(cfg, "solver.picard_iterations", int),
                         tol_obstacle=_num(cfg, "tolerances.obstacle"),
                         tol_skorokhod=_num(cfg, "tolerances.skorokhod"))
 
@@ -293,7 +300,9 @@ def cmd_cost(cfg):
     model = _model_from(cfg)
     mc = cfg["mc"]
     method = _choice(cfg, "cost.method", ("reflected", "feedback", "tree"))
-    u0 = _num(cfg, "cost.control")
+    # the feedback method takes its controls from the law, not from cost.control
+    u0 = _num(cfg, "cost.control") if method == "feedback" \
+        else _control(cfg, "cost.control", model)
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
     t0 = time.time()
@@ -349,13 +358,16 @@ def cmd_verify(cfg):
     start_state = _num(cfg, "mc.start_state")
     triple = tuple(_num(cfg, f"verify.triple.{k}")
                    for k in ("time_slope", "gradient", "curvature"))
+    law = None
+    if mode == "viscosity":
+        u0 = model.control_set.lo if v["control"] is None \
+            else _control(cfg, "verify.control", model)
+    elif v["constant_law"] is not None:
+        law = FeedbackLaw.constant(_control(cfg, "verify.constant_law", model),
+                                   model.control_set)
     surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
-    if mode in ("classical", "feedback"):
-        if v["constant_law"] is not None:
-            law = FeedbackLaw.constant(_num(cfg, "verify.constant_law"),
-                                       model.control_set)
-        else:
-            law = extract_feedback(surface, model)
+    if mode != "viscosity" and law is None:
+        law = extract_feedback(surface, model)
 
     if mode == "classical":
         battery = build_control_battery(model, start_time, vcfg.seed,
@@ -364,8 +376,6 @@ def cmd_verify(cfg):
         report = verify_classical(model, surface, start_time, start_state,
                                   law, battery, vcfg)
     elif mode == "viscosity":
-        u0 = model.control_set.lo if v["control"] is None \
-            else _num(cfg, "verify.control")
         battery = build_control_battery(model, start_time, vcfg.seed,
                                         min(vcfg.battery_random, 5),
                                         vcfg.battery_switches)
@@ -374,11 +384,9 @@ def cmd_verify(cfg):
             OpenLoopControl.constant(u0),
             lambda s, x: triple, vcfg, battery=battery)
     else:
-        if tables_from == "surface":
-            tables = tables_from_surface(surface)
-        else:
-            tables = TripleTables(*(np.full(surface.values.shape, c) for c in triple))
-        report = verify_feedback_optimality(model, surface, law, tables,
+        candidate = tables_from_surface(surface) if tables_from == "surface" \
+            else lambda s, x: triple
+        report = verify_feedback_optimality(model, surface, law, candidate,
                                             start_time, start_state, vcfg)
 
     _write_report(run, report)

@@ -29,6 +29,8 @@ ASSUMPTION_NAMES = ("H1", "H2", "H3", "A1", "A2", "A3", "A4")
 # route applies; they are recorded, not measured.
 DECLARED_FLAGS = ("A1", "A2", "A3", "A4")
 
+_VALUE_BOUNDS = (-5.0, 5.0)     # probe box of the driver's value and slope arguments
+
 
 @dataclass(frozen=True)
 class ControlSet:
@@ -140,11 +142,10 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Sampling box for assumption checks: time x state x control (x aux y/z)."""
+    """Sampling box for assumption checks: time x state (y/z: ``_VALUE_BOUNDS``)."""
 
     time_bounds: tuple
     state_bounds: tuple
-    value_bounds: tuple = (-5.0, 5.0)
     points: int = 9
 
     def axis(self, bounds):
@@ -197,8 +198,7 @@ def validate_assumptions(model, probe, seed=0):
     ts = probe.axis(probe.time_bounds)
     xs = probe.axis(probe.state_bounds)
     us = model.control_set.points()
-    ys = probe.axis(probe.value_bounds)
-    zs = probe.axis(probe.value_bounds)
+    ys = zs = probe.axis(_VALUE_BOUNDS)
     # a few random cross sections keep the lattice from hiding anisotropy
     t_extra = rng.uniform(*probe.time_bounds, size=3)
     u_extra = rng.uniform(us.min(), us.max(), size=3)

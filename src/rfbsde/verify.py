@@ -33,6 +33,13 @@ from .rbsde import SolverConfig, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback
 
+_PROBE_MAX_RADIUS = 0.1      # largest time radius of a membership probe
+_PROBE_LEVELS = 9            # radius halvings per probe
+_PROBE_SAMPLES = 64          # sampled points per radius
+_ZERO_TOL = 1e-12            # integral-optimality slack taken as zero
+_POINTWISE_TOL = 1e-8        # relative slack of the pointwise lower inequality
+_INEQUALITY_TOL = 1e-9       # relative slack of the viscosity inequalities
+_INCONCLUSIVE_QUOTA = 0.25   # largest inconclusive share of a passing sample
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -116,11 +123,8 @@ def _route_fingerprint(theorem, model, surface, start_time, start_state,
 
 @dataclass(frozen=True)
 class MembershipProbe:
-    """Decreasing-radius sampling plan for one-sided expansion quotients."""
+    """Seed and verdict tolerances of the decreasing-radius membership probe."""
 
-    max_radius: float = 0.1
-    levels: int = 9
-    samples: int = 64
     seed: int = 0
     member_tol: float = 0.02
     nonmember_tol: float = 0.05
@@ -136,14 +140,11 @@ class VerifyConfig:
     solver: SolverConfig = SolverConfig()
     bias_budget: float = 0.05
     z_tol: float = 0.1
-    zero_tol: float = 1e-12
-    inequality_tol: float = 1e-8
     battery_random: int = 20
     battery_switches: int = 8
     membership_times: int = 16
     membership_paths: int = 64
     node_samples: int = 64
-    inconclusive_quota: float = 0.25
     probe: MembershipProbe = MembershipProbe()
 
 
@@ -166,9 +167,6 @@ class SuperdiffCandidate:
 class MembershipResult:
     verdict: str             # "member" | "non-member" | "inconclusive"
     margin: float            # smallest max-quotient across radii (signed)
-    radii: tuple
-    max_quotients: tuple
-    note: str = ""
 
 
 def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
@@ -192,11 +190,9 @@ def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
     scale = 1.0 + abs(w0)
 
     floor = 0.0 if surface.exact_form is not None else max(grid.dt, grid.dx ** 2)
-    radii, note = [], ""
-    rho = min(probe.max_radius, grid.horizon - t)
-    if rho < probe.max_radius:
-        note = "radius shrunk to fit the surface box; "
-    for _ in range(probe.levels):
+    radii = []
+    rho = min(_PROBE_MAX_RADIUS, grid.horizon - t)
+    for _ in range(_PROBE_LEVELS):
         radii.append(rho)
         if rho * 0.5 < floor:
             break
@@ -205,16 +201,14 @@ def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
 
     quotients = []
     for rho in radii:
-        u = 1.0 - gen.random(probe.samples)          # in (0, 1]
+        u = 1.0 - gen.random(_PROBE_SAMPLES)         # in (0, 1]
         s = t + u * rho
         if side == "both" and t > 0.0:
-            back = 1.0 - gen.random(probe.samples)
+            back = 1.0 - gen.random(_PROBE_SAMPLES)
             s = np.concatenate([s, t - back * min(rho, t)])
         span = math.sqrt(rho)
         lo = min(span, x - grid.x_min)
         hi = min(span, grid.x_max - x)
-        if lo < span or hi < span:
-            note = note or "state probe clipped to the surface box; "
         y = x + gen.uniform(-lo, hi, size=len(s))
         w = np.asarray(surface.value_at(s, y), dtype=float)
         num = (w - w0 - cand.time_slope * (s - t) - cand.gradient * (y - x)
@@ -235,8 +229,7 @@ def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
         verdict = "non-member"
     else:
         verdict = "inconclusive"
-    return MembershipResult(verdict=verdict, margin=margin, radii=tuple(radii),
-                            max_quotients=tuple(quotients), note=note.strip())
+    return MembershipResult(verdict=verdict, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,7 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
     rate = counts["member"] / checked if checked else 0.0
     if counts["non-member"] > 0:
         status_i = "fail"
-    elif checked == 0 or counts["inconclusive"] / checked > config.inconclusive_quota \
+    elif checked == 0 or counts["inconclusive"] / checked > _INCONCLUSIVE_QUOTA \
             or rate < 0.95:
         status_i = "inconclusive"
     else:
@@ -444,8 +437,8 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         if len(integrals) > 1 else 0.0
     slack_int = mean - 3.0 * se
     cond_int = ConditionRecord(
-        name=names[2], slack=max(slack_int, 0.0), tolerance=config.zero_tol,
-        status="pass" if slack_int <= config.zero_tol else "fail",
+        name=names[2], slack=max(slack_int, 0.0), tolerance=_ZERO_TOL,
+        status="pass" if slack_int <= _ZERO_TOL else "fail",
         detail=f"integral estimate {mean:.6g} +/- {se:.2g}")
     return cond_member, cond_z, cond_int
 
@@ -473,8 +466,8 @@ def verify_viscosity_conditions(model, surface, start_time, start_state,
                                         "value-consistency")[0])
 
     fp = _route_fingerprint("viscosity", model, surface, start_time, start_state,
-                            config, probe=(config.probe.max_radius, config.probe.levels,
-                                           config.probe.samples, config.probe.seed))
+                            config, probe=(_PROBE_MAX_RADIUS, _PROBE_LEVELS,
+                                           _PROBE_SAMPLES, config.probe.seed))
     return VerificationReport(theorem="viscosity-verification",
                               conditions=tuple(conds), fingerprint=fp)
 
@@ -538,41 +531,33 @@ def check_surface_regularity(surface, delta):
 # Feedback-optimality route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TripleTables:
-    """Grid tables of the expansion triple aligned with a surface grid."""
-
-    time_slope: np.ndarray
-    gradient: np.ndarray
-    curvature: np.ndarray
-
-    def lookup(self, grid):
-        def triple(s, x):
-            node = grid.nearest_node(s, x)
-            return self.time_slope[node], self.gradient[node], self.curvature[node]
-        return triple
-
-
 def tables_from_surface(surface):
-    """Finite-difference expansion tables (kinks: slope midpoint, curvature 0)."""
+    """Expansion triple ``(s, x) -> (q, p, pp)`` read at the nearest grid node
+    from finite-difference rows of the surface (kinks: slope midpoint,
+    curvature 0)."""
     grid = surface.grid
     qs = np.empty_like(surface.values)
     ps = np.empty_like(surface.values)
     pps = np.empty_like(surface.values)
     for i in range(grid.t_steps + 1):
         qs[i], ps[i], pps[i] = surface.expansion_rows(i)
-    return TripleTables(time_slope=qs, gradient=ps, curvature=pps)
+
+    def triple(s, x):
+        node = grid.nearest_node(s, x)
+        return qs[node], ps[node], pps[node]
+    return triple
 
 
-def verify_feedback_optimality(model, surface, law, tables, start_time,
+def verify_feedback_optimality(model, surface, law, candidate_triple, start_time,
                                start_state, config=VerifyConfig()):
-    """Certification of a feedback law with expansion tables.
+    """Certification of a feedback law with an expansion triple.
 
-    First validates table membership on a node sample and checks the
-    pointwise lower inequality (table value plus Hamiltonian infimum against
-    the barrier gap) at nodes where the table is a member; then runs the
-    closed-loop system and checks the integral-optimality and slope-match
-    conditions along its paths.
+    ``candidate_triple`` maps (s, state) to (time slope, gradient, curvature),
+    as :func:`tables_from_surface` builds it.  First validates its membership
+    on a sample of grid nodes and checks the pointwise lower inequality
+    (time slope plus Hamiltonian infimum against the barrier gap) at nodes
+    where it is a member; then runs the closed-loop system and checks the
+    integral-optimality and slope-match conditions along its paths.
     """
     grid = surface.grid
     gen = np.random.Generator(np.random.Philox(key=(config.seed + 0xFE1) & (2**63 - 1)))
@@ -585,9 +570,7 @@ def verify_feedback_optimality(model, surface, law, tables, start_time,
     worst_gap = -math.inf
     for i, j in zip(ti, xj):
         s, x = float(grid.times[i]), float(grid.xs[j])
-        q = float(tables.time_slope[i, j])
-        p = float(tables.gradient[i, j])
-        pp = float(tables.curvature[i, j])
+        q, p, pp = (float(c) for c in candidate_triple(s, x))
         res = check_superdiff_membership(
             surface, SuperdiffCandidate(q, p, pp, s, x), config.probe)
         if res.verdict == "non-member":
@@ -606,16 +589,16 @@ def verify_feedback_optimality(model, surface, law, tables, start_time,
     if members == 0:
         status_pt = "inconclusive"
         worst_gap = math.nan
-    elif worst_gap > config.inequality_tol * (1.0 + abs(worst_gap)):
+    elif worst_gap > _POINTWISE_TOL * (1.0 + abs(worst_gap)):
         status_pt = "fail"
-    elif checked and inconclusive / checked > config.inconclusive_quota:
+    elif checked and inconclusive / checked > _INCONCLUSIVE_QUOTA:
         status_pt = "inconclusive"
     else:
         status_pt = "pass"
     cond_pt = ConditionRecord(
         name="pointwise-lower-inequality",
         slack=worst_gap if math.isfinite(worst_gap) else 0.0,
-        tolerance=config.inequality_tol,
+        tolerance=_POINTWISE_TOL,
         status=status_pt,
         detail=f"{members} member nodes, {inconclusive} inconclusive, "
                f"{rejected} rejected of {n}")
@@ -623,9 +606,8 @@ def verify_feedback_optimality(model, surface, law, tables, start_time,
     mc_grid = TimeGrid(start_time, model.horizon, config.steps)
     ensemble = simulate_closed_loop(model, law, start_time, start_state,
                                     mc_grid, config.n_paths, config.seed)
-    triple = tables.lookup(grid)
     closed = _closed_loop_conditions(
-        model, surface, ensemble, triple, config,
+        model, surface, ensemble, candidate_triple, config,
         names=("table-membership-on-paths", "martingale-slope-match",
                "integral-optimality"))
 
@@ -649,11 +631,12 @@ class InequalitySample:
     validated: bool = False
 
 
-def check_viscosity_inequalities(surface, model, samples, tol=1e-9):
+def check_viscosity_inequalities(surface, model, samples):
     """Evaluate max{W - h, -q - inf_u H} at membership-validated samples.
 
     Super-tagged samples must give a nonpositive value, sub-tagged ones a
-    nonnegative value, both up to ``tol`` scaled by the local magnitude.
+    nonnegative value, both up to ``_INEQUALITY_TOL`` scaled by the local
+    magnitude.
     """
     records = []
     for smp in samples:
@@ -668,15 +651,16 @@ def check_viscosity_inequalities(surface, model, samples, tol=1e-9):
         inf_val, _ = inf_hamiltonian(model, smp.t, smp.x, w, p, pp)
         expr = max(w - barrier, -q - inf_val)
         scale = 1.0 + abs(w) + abs(barrier)
+        tol = _INEQUALITY_TOL * scale
         if smp.tag == "super":
-            ok = expr <= tol * scale
+            ok = expr <= tol
             slack = expr
         else:
-            ok = expr >= -tol * scale
+            ok = expr >= -tol
             slack = -expr
         records.append(ConditionRecord(
             name=f"{smp.tag}@({smp.t:.4g},{smp.x:.4g})",
-            slack=slack, tolerance=tol * scale,
+            slack=slack, tolerance=tol,
             status="pass" if ok else "fail",
             detail=f"expression {expr:.6g}"))
     fp = _fingerprint({"theorem": "inequalities",

@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 import rfbsde
+from rfbsde import cli
 from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
                         load_config, main)
+from rfbsde.rbsde import SolverConfig
+from rfbsde.verify import MembershipProbe, VerifyConfig
 
 FAST_MC = ["--set", "mc.paths=2000", "--set", "mc.steps=50"]
 FAST_PDE = ["--set", "pde.t_steps=200", "--set", "pde.x_steps=60"]
@@ -93,8 +97,17 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     (["cost", "--set", "cost.control=low"], "cost.control"),
     (["verify", "--tol", "membership=tight"], "tolerances.membership"),
     (["solve", "--set", "pde.x_steps=ten"], "pde.x_steps"),
+    # booleans are not numbers, though Python casts True to 1
+    (["cost", "--set", "mc.paths=true", "--set", "mc.steps=10"], "mc.paths"),
+    (["cost", "--set", "cost.method=tree", "--set", "cost.tree_depth=true"],
+     "cost.tree_depth"),
+    (["cost", "--config", "true.yaml", "--set", "mc.steps=10"], "mc.paths"),
+    (["cost", "--config", "false.yaml", *FAST_MC], "mc.start_state"),
 ])
 def test_non_numeric_config_value_exit_code(tmp_path, capsys, argv, key):
+    (tmp_path / "true.yaml").write_text("mc:\n  paths: true\n")
+    (tmp_path / "false.yaml").write_text("mc:\n  start_state: false\n")
+    argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in argv]
     code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
     assert code == 2
     assert err.startswith("ERROR[config]")
@@ -230,7 +243,7 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
         assert code == 2
         assert err.startswith("ERROR[config]")
     # keys that no solver reads are not in the schema: unknown keys, exit 2
-    for gone in ("penalty.n=50.0", "pde.boundary=extrap1"):
+    for gone in ("penalty.n=50.0", "pde.boundary=extrap1", "solver.picard_iterations=3"):
         code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", gone])
         assert code == 2
         assert err.startswith("ERROR[config]: unknown config key")
@@ -325,6 +338,23 @@ def test_every_default_key_is_read(tmp_path, capsys):
     assert reads == set(_leaf_keys(DEFAULTS))
 
 
+def test_every_library_field_is_set_by_the_cli(monkeypatch):
+    # a dataclass field that no CLI builder passes is a knob nobody can turn
+    classes = (SolverConfig, VerifyConfig, MembershipProbe)
+    passed = {cls: set() for cls in classes}
+    for cls in classes:
+        def record(*args, _cls=cls, **kwargs):
+            assert not args, f"{_cls.__name__} built positionally"
+            passed[_cls].update(kwargs)
+            return _cls(**kwargs)
+        monkeypatch.setattr(cli, cls.__name__, record)
+    cfg = load_config(None)
+    cli._solver_config(cfg)
+    cli._verify_config(cfg)
+    for cls in classes:
+        assert passed[cls] == {f.name for f in fields(cls)}, cls.__name__
+
+
 def test_cost_csv_rewritten_on_rerun(tmp_path, capsys):
     argv = ["cost", "--out", str(tmp_path), "--set", "cost.method=tree"]
     assert run(capsys, argv)[0] == 0
@@ -367,3 +397,33 @@ def test_fingerprint_covers_surface(tmp_path, capsys):
     candidate = fingerprint("a", "candidate")
     assert fingerprint("b", "candidate") == candidate
     assert fingerprint("c", "computed") != candidate
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["cost", "--set", "cost.control=5"], "cost.control"),
+    (["cost", "--set", "cost.method=tree", "--set", "cost.control=5"], "cost.control"),
+    (["cost", "--set", "cost.method=tree", "--set", "cost.control=-0.5"], "cost.control"),
+    (["verify", "--set", "verify.constant_law=5"], "verify.constant_law"),
+    (["verify", "--set", "verify.mode=feedback", "--set", "verify.constant_law=5"],
+     "verify.constant_law"),
+    (["verify", "--set", "verify.mode=viscosity", "--set", "verify.control=5"],
+     "verify.control"),
+], ids=["cost-reflected", "cost-tree", "cost-tree-below", "verify-classical-law",
+        "verify-feedback-law", "verify-viscosity-control"])
+def test_out_of_set_control_refused(tmp_path, capsys, argv, key):
+    # example-classical controls lie in [0, 1]; nothing is computed or written
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("ERROR[config]")
+    assert key in err and "control set" in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("report.*"))
+
+
+def test_coarse_time_grid_sweeps_driver_to_convergence(tmp_path, capsys):
+    # dt = 0.1 needs more than three driver sweeps per node to reach tolerance
+    code, out, err = run(capsys, ["verify", "--out", str(tmp_path),
+                                  "--set", "mc.paths=200", "--set", "mc.steps=10",
+                                  "--set", "verify.battery_random=1",
+                                  "--set", "pde.t_steps=20", "--set", "pde.x_steps=10"])
+    assert code == 0, err
+    assert "classical-verification: pass" in out

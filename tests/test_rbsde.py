@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,19 +189,33 @@ def test_oracle_agreement_with_cost(classical_ensemble):
     assert abs(est.value - t16) <= 3 * est.stderr + abs(t16 - t14) + 0.05
 
 
+def stiff_model(rate):
+    """linear_inert_model with driver ``rate * y``."""
+    return dataclasses.replace(
+        linear_inert_model(), name="stiff",
+        driver=lambda r, x, y, z, u: rate * np.asarray(y, dtype=float))
+
+
 def test_picard_divergence_raises():
-    stiff = ControlModel(
-        name="stiff",
-        drift=lambda r, x, u: 0.0 * np.asarray(x, dtype=float),
-        diffusion=lambda r, x, u: 0.0 * np.asarray(x, dtype=float),
-        driver=lambda r, x, y, z, u: 100.0 * np.asarray(y, dtype=float),
-        terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        obstacle=lambda r, x: np.full_like(np.asarray(x, dtype=float), 1e9),
-        control_set=ControlSet.interval(0.0, 1.0, 2), horizon=1.0)
-    ens = simulate_paths(stiff, 0.0, 1.0, OpenLoopControl.constant(0.0),
-                         TimeGrid(0.0, 1.0, 5), 10, seed=0)
-    with pytest.raises(BackwardSolverError, match="step"):
-        solve_reflected(stiff, ens)
+    # f = rate y maps a sweep error e to rate * dt * e; at a contraction of
+    # 1 or more no sweep count converges
+    for rate, steps in ((100.0, 5), (50.0, 10)):
+        model = stiff_model(rate)
+        ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                             TimeGrid(0.0, 1.0, steps), 10, seed=0)
+        with pytest.raises(BackwardSolverError, match=f"step .*contraction {rate / steps:g},"):
+            solve_reflected(model, ens)
+
+
+def test_driver_sweep_runs_to_tolerance_on_coarse_grid():
+    # f = 2 y at dt = 0.1 contracts by 0.2 per sweep; three sweeps leave a
+    # tail estimate above tolerance, so the sweep goes on towards the
+    # implicit step's fixed point y = cont / (1 - 2 dt)
+    model = stiff_model(2.0)
+    ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                         TimeGrid(0.0, 1.0, 10), 10, seed=0)
+    sol = solve_reflected(model, ens)
+    assert sol.value[:, 0] == pytest.approx(0.8 ** -10, rel=1e-3)
 
 
 def test_conditional_expectation_poly_recovers_polynomial():

@@ -11,7 +11,7 @@ from rfbsde.hjb import SpaceTimeGrid, candidate_surface
 from rfbsde.model import example_classical, example_viscosity, zero_model
 from rfbsde.synthesis import FeedbackLaw, extract_feedback
 from rfbsde.verify import (InequalitySample, MembershipProbe,
-                           SuperdiffCandidate, TripleTables, VerifyConfig,
+                           SuperdiffCandidate, VerifyConfig,
                            build_control_battery, tables_from_surface)
 
 E2 = math.exp(2.0)
@@ -205,7 +205,6 @@ def test_monotone_tolerance_never_flips_pass(viscosity_candidate):
     model = example_viscosity()
     base = VerifyConfig(n_paths=500, steps=50, seed=11)
     loose = VerifyConfig(n_paths=500, steps=50, seed=11, z_tol=1.0,
-                         zero_tol=1e-6,
                          probe=MembershipProbe(member_tol=0.2, nonmember_tol=0.5))
     for cfg in (base, loose):
         rep = verify_viscosity_conditions(
@@ -263,13 +262,9 @@ def test_regularity_delta_validation(classical_candidate):
 def test_feedback_optimality_viscosity_passes(viscosity_candidate):
     model = example_viscosity()
     cfg = VerifyConfig(n_paths=500, steps=50, seed=11)
-    shape = viscosity_candidate.values.shape
-    tables = TripleTables(time_slope=np.zeros(shape),
-                          gradient=np.ones(shape),
-                          curvature=np.zeros(shape))
     law = FeedbackLaw.constant(1.0, model.control_set)
     report = verify_feedback_optimality(model, viscosity_candidate, law,
-                                        tables, 0.0, 0.0, cfg)
+                                        lambda s, x: (0.0, 1.0, 0.0), 0.0, 0.0, cfg)
     assert report.passed
     by_name = {c.name: c for c in report.conditions}
     assert by_name["integral-optimality"].slack == 0.0
@@ -282,11 +277,10 @@ def test_feedback_optimality_zero_model():
     grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
                          t_steps=50, x_steps=20)
     surface = solve_obstacle_hjb(model, grid)
-    shape = surface.values.shape
-    tables = TripleTables(np.zeros(shape), np.zeros(shape), np.zeros(shape))
     law = FeedbackLaw.constant(0.0, model.control_set)
     cfg = VerifyConfig(n_paths=200, steps=25, seed=4)
-    report = verify_feedback_optimality(model, surface, law, tables, 0.0, 0.0, cfg)
+    report = verify_feedback_optimality(model, surface, law,
+                                        lambda s, x: (0.0, 0.0, 0.0), 0.0, 0.0, cfg)
     assert report.passed
     assert all(c.slack <= 1e-12 for c in report.conditions
                if c.name != "pointwise-lower-inequality")
@@ -295,14 +289,29 @@ def test_feedback_optimality_zero_model():
 def test_feedback_optimality_wrong_law_fails_integral(classical_candidate,
                                                       small_config):
     model = example_classical()
-    tables = tables_from_surface(classical_candidate)
+    triple = tables_from_surface(classical_candidate)
     law = FeedbackLaw.constant(1.0, model.control_set)
     report = verify_feedback_optimality(model, classical_candidate, law,
-                                        tables, 0.0, 1.0, small_config)
+                                        triple, 0.0, 1.0, small_config)
     assert report.status == "fail"
     integral = [c for c in report.conditions if c.name == "integral-optimality"][0]
     assert integral.status == "fail"
     assert integral.slack > 1.0
+
+
+def test_tables_from_surface_reads_expansion_rows(viscosity_candidate):
+    grid = viscosity_candidate.grid
+    triple = tables_from_surface(viscosity_candidate)
+    for i in (0, 37, grid.t_steps):
+        rows = viscosity_candidate.expansion_rows(i)
+        # at a grid node the lookup returns that node, kink column included
+        for j in (0, 50, 63, grid.x_steps):
+            got = triple(grid.times[i], grid.xs[j])
+            assert [float(g) for g in got] == [float(r[j]) for r in rows]
+        # a state row is looked up column by column, off-node to the nearest
+        xs = grid.xs + 0.3 * grid.dx
+        for got, r in zip(triple(grid.times[i] + 0.3 * grid.dt, xs), rows):
+            assert np.array_equal(got, r)
 
 
 # ---------------------------------------------------------------------------
