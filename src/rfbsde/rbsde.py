@@ -57,7 +57,9 @@ class RbsdeSolution:
 
     ``value`` is (paths, steps+1); ``slope`` holds the per-interval martingale
     coefficient on nodes 0..steps-1 (last column zero by convention);
-    ``reflection`` is the cumulative nondecreasing push with reflection[:,0]=0.
+    ``pushes`` is (paths, steps), the projection amount at each node.  The
+    cumulative nondecreasing ``reflection`` (paths, steps+1), with
+    reflection[:,0]=0, is not stored: each access builds it from the pushes.
     The arrays are stored column-major, like the ensemble they were solved
     on, so each per-node column is contiguous; shapes and indexing are those
     of the row-major ``(paths, steps)`` layout of the increment draw.
@@ -65,9 +67,17 @@ class RbsdeSolution:
 
     value: np.ndarray
     slope: np.ndarray
-    reflection: np.ndarray
     pushes: np.ndarray
     diagnostics: dict
+
+    @property
+    def reflection(self):
+        """Running sum of the pushes, added node by node from zero."""
+        n_paths, steps = self.pushes.shape
+        reflection = np.zeros((n_paths, steps + 1), order="F")
+        for i in range(steps):
+            np.add(reflection[:, i], self.pushes[:, i], out=reflection[:, i + 1])
+        return reflection
 
 
 class _ConditionalExpectation:
@@ -218,11 +228,6 @@ def _backward_pass(model, ensemble, config, penalty_level):
         value[:, i] = y
         slope[:, i] = z
 
-    reflection = np.zeros((n_paths, n_nodes), order="F")
-    if reflected:
-        for i in range(steps):
-            np.add(reflection[:, i], pushes[:, i], out=reflection[:, i + 1])
-
     slack_max = float(np.max(np.abs(slack)))
     bound = 1.0 + value_max
     if reflected and violation > config.tol_obstacle * bound:
@@ -239,8 +244,8 @@ def _backward_pass(model, ensemble, config, penalty_level):
         "estimator_fallback_nodes": tuple(reversed(fallback_nodes)),
         "penalty_level": penalty_level,
     }
-    return RbsdeSolution(value=value, slope=slope, reflection=reflection,
-                         pushes=pushes, diagnostics=diagnostics)
+    return RbsdeSolution(value=value, slope=slope, pushes=pushes,
+                         diagnostics=diagnostics)
 
 
 def solve_penalized(model, ensemble, penalty_level, config=SolverConfig()):
@@ -280,17 +285,21 @@ def _path_contributions(model, ensemble, sol):
     Taking expectations in the backward equation at the initial time kills the
     martingale integral, so the node-0 value is the mean of these; their
     spread carries the true sampling noise of the estimate, which the
-    regression-smoothed backward values hide.
+    regression-smoothed backward values hide.  The terminal reflection is
+    summed from the pushes node by node, in the order ``sol.reflection``
+    adds them, so no reflection table is built.
     """
     grid = ensemble.grid
     dt = grid.dt
     nodes = grid.nodes
     xi = np.asarray(model.terminal(ensemble.states[:, grid.steps]), dtype=float).copy()
+    pushed = np.zeros(ensemble.n_paths)
     for i in range(grid.steps):
         xi += np.asarray(model.driver(
             nodes[i], ensemble.states[:, i], sol.value[:, i], sol.slope[:, i],
             ensemble.controls[:, i]), dtype=float) * dt
-    xi -= sol.reflection[:, grid.steps]
+        pushed += sol.pushes[:, i]
+    xi -= pushed
     return xi
 
 
@@ -375,9 +384,18 @@ def tree_oracle(model, start_time, start_state, policy, depth):
         g_mean = 0.5 * (g[0::2] + g[1::2])
         z = (up - dn) / (2.0 * sq)
         yi = cont.copy()
+        shift = 0.0
         for _ in range(_TREE_SWEEPS):
-            yi = cont + 0.5 * dt * (
+            y_new = cont + 0.5 * dt * (
                 np.asarray(model.driver(times[i], s, yi, z, u), dtype=float) + g_mean)
+            prev_shift, shift = shift, float(np.max(np.abs(y_new - yi)))
+            yi = y_new
+        # contraction estimate of the last two sweeps; 0/0 is an exact fixed point
+        rate = shift / prev_shift if prev_shift > 0.0 else 0.0
+        if not (math.isfinite(shift) and rate < 1.0):
+            raise BackwardSolverError(
+                f"tree driver sweep diverges at level {i} "
+                f"(residual {shift:.3e}, contraction {rate:.3g}, {_TREE_SWEEPS} sweeps)")
         barrier = np.asarray(model.obstacle(times[i], s), dtype=float)
         yi = np.minimum(yi, barrier)
         g = np.asarray(model.driver(times[i], s, yi, z, u), dtype=float)

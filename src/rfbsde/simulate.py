@@ -52,7 +52,8 @@ class OpenLoopControl:
     Three flavours: a constant, a deterministic function of time, or a
     per-path per-node table.  Tables are adapted by construction as long as
     the node-i entry only uses noise up to node i; callers supplying tables
-    own that guarantee.
+    own that guarantee.  A constant is simulated from one shared column, so
+    its ensemble's ``controls`` is a read-only broadcast view, not a table.
     """
 
     kind: str
@@ -102,6 +103,8 @@ class PathEnsemble:
     are (paths, steps).  All three are stored column-major, so each per-node
     column is contiguous; the increments still hold the row-major
     ``(paths, steps)`` draw of the module docstring, element for element.
+    Under a constant open-loop control, ``controls`` is one ``(paths,)``
+    column broadcast read-only over the steps (strides ``(8, 0)``).
     """
 
     grid: TimeGrid
@@ -137,11 +140,13 @@ def _increments(seed, n_paths, steps, dt):
     return out
 
 
-def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
+def _euler(model, start_time, start_state, grid, n_paths, seed, control_at,
+           controls=None):
     """Euler loop shared by both entry points.
 
     ``control_at(i, t, x)`` returns the node-i control values for the states
-    ``x``; they are recorded on the ensemble as the per-path control table.
+    ``x``; they are recorded on the ensemble as the per-path control table,
+    unless the caller passes ``controls``, a table that already holds them.
     """
     if abs(grid.start - start_time) > 1e-12:
         raise ConfigError("grid.start must equal the initial time")
@@ -152,12 +157,15 @@ def _euler(model, start_time, start_state, grid, n_paths, seed, control_at):
     dW = _increments(seed, n_paths, grid.steps, dt)
     states = np.empty((n_paths, grid.steps + 1), order="F")
     states[:, 0] = float(np.asarray(start_state).reshape(()))
-    controls = np.empty((n_paths, grid.steps), order="F")
+    record = controls is None
+    if record:
+        controls = np.empty((n_paths, grid.steps), order="F")
     nodes = grid.nodes
     for i in range(grid.steps):
         x = states[:, i]
         u = control_at(i, nodes[i], x)
-        controls[:, i] = u
+        if record:
+            controls[:, i] = u
         nxt = x + np.asarray(model.drift(nodes[i], x, u)) * dt \
             + np.asarray(model.diffusion(nodes[i], x, u)) * dW[:, i]
         if not np.all(np.isfinite(nxt)):
@@ -173,10 +181,16 @@ def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed)
     """Euler scheme for the controlled state equation under an open-loop control.
 
     Deterministic given the seed.  Controls outside the model's control set
-    are rejected before any path is generated.
+    are rejected before any path is generated.  A constant control is one
+    shared column, recorded as a read-only broadcast over the steps.
     """
     if not model.control_set.contains(control.all_values(grid, n_paths)):
         raise SimulationError("control takes values outside the control set")
+    if control.kind == "constant":
+        column = control.values_at(0, grid.start, n_paths)
+        controls = np.broadcast_to(column[:, None], (n_paths, grid.steps))
+        return _euler(model, start_time, start_state, grid, n_paths, seed,
+                      lambda i, t, x: column, controls)
     return _euler(model, start_time, start_state, grid, n_paths, seed,
                   lambda i, t, x: control.values_at(i, t, n_paths))
 

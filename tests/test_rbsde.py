@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,17 @@ def test_picard_divergence_raises():
             solve_reflected(model, ens)
 
 
+def test_tree_divergent_sweep_raises():
+    # the trapezoidal sweep of f = rate y contracts by rate * dt / 2: 1.875
+    # for rate 15 at depth 4, where three sweeps returned 388432 against the
+    # fixed point 116.55
+    with pytest.raises(BackwardSolverError, match=r"level 3 .*contraction 1\.88,"):
+        tree_oracle(stiff_model(15.0), 0.0, 1.0, lambda t, x: 0.0, 4)
+    # a contracting sweep keeps its three sweeps: rate 2 at depth 4 (0.25)
+    # returns the same unconverged value as before the check
+    assert tree_oracle(stiff_model(2.0), 0.0, 1.0, lambda t, x: 0.0, 4) == 7.524949073791504
+
+
 def test_driver_sweep_runs_to_tolerance_on_coarse_grid():
     # f = 2 y at dt = 0.1 contracts by 0.2 per sweep; three sweeps leave a
     # tail estimate above tolerance, so the sweep goes on towards the
@@ -303,6 +315,28 @@ def test_c_order_states_solve_alike(classical_ensemble):
         object.__setattr__(ens, "states", column_major)
     np.testing.assert_allclose(again.value, sol.value, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(again.reflection, sol.reflection, rtol=1e-12, atol=1e-12)
+
+
+def test_reflection_is_the_running_push_sum(classical_ensemble):
+    model, ens = classical_ensemble
+    for sol in (solve_reflected(model, ens), solve_penalized(model, ens, 10.0)):
+        reflection = sol.reflection
+        assert np.all(reflection[:, 0] == 0.0)
+        assert np.array_equal(reflection[:, 1:], np.cumsum(sol.pushes, axis=1))
+
+
+def test_cost_functional_memory_guard():
+    # states, increments, value, slope and pushes are the five tables a
+    # cost run holds; the constant control and the reflection are not stored
+    n_paths, steps = 20_000, 50
+    tracemalloc.start()
+    try:
+        cost_functional(example_classical(), 0.0, 1.0, OpenLoopControl.constant(0.0),
+                        TimeGrid(0.0, 1.0, steps), n_paths, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * n_paths * steps * 8
 
 
 def test_solution_columns_contiguous(classical_ensemble):

@@ -127,6 +127,16 @@ def test_ensemble_columns_contiguous(classical_model):
             assert all(arr[:, i].flags.c_contiguous for i in range(arr.shape[1]))
 
 
+def test_constant_control_is_one_shared_column(classical_model):
+    grid = TimeGrid(0.0, 1.0, 6)
+    ens = simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(0.5),
+                         grid, 50, seed=3)
+    assert ens.controls.shape == (50, grid.steps)
+    assert ens.controls.strides[1] == 0
+    assert not ens.controls.flags.writeable
+    assert np.all(ens.controls == 0.5)
+
+
 def test_control_outside_set_rejected(classical_model):
     with pytest.raises(SimulationError):
         simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(2.0),
