@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, EvaluationError, KinkColumnError, StabilityError, BackwardSolverError
 from .rbsde import _barrier_resolve
@@ -77,9 +77,10 @@ class SpaceTimeGrid:
     def columns_near(self, points):
         """State columns within half a cell of the given points (kink location)."""
         cols = []
+        xs = self.xs
         for x in points:
             j = int(round((x - self.x_min) / self.dx))
-            if 0 <= j <= self.x_steps and abs(self.xs[j] - x) <= 0.5 * self.dx:
+            if 0 <= j <= self.x_steps and abs(xs[j] - x) <= 0.5 * self.dx:
                 cols.append(j)
         return tuple(cols)
 
@@ -112,13 +113,16 @@ class ValueSurface:
         """Surface value at (t, x); constant extrapolation outside the box."""
         if self.exact_form is not None:
             return self.exact_form(t, x)
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.grid.horizon)
-        x = np.clip(np.asarray(x, dtype=float), self.grid.x_min, self.grid.x_max)
-        ti = np.clip((t / self.grid.dt).astype(int), 0, self.grid.t_steps - 1)
-        xi = np.clip(((x - self.grid.x_min) / self.grid.dx).astype(int),
-                     0, self.grid.x_steps - 1)
-        at = (t - ti * self.grid.dt) / self.grid.dt
-        ax = (x - (self.grid.x_min + xi * self.grid.dx)) / self.grid.dx
+        # np.minimum/np.maximum clip as np.clip does, without its wrapper
+        g = self.grid
+        dt, dx = g.dt, g.dx
+        t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), g.horizon)
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), g.x_min), g.x_max)
+        ti = np.minimum(np.maximum((t / dt).astype(int), 0), g.t_steps - 1)
+        xi = np.minimum(np.maximum(((x - g.x_min) / dx).astype(int), 0),
+                        g.x_steps - 1)
+        at = (t - ti * dt) / dt
+        ax = (x - (g.x_min + xi * dx)) / dx
         v = self.values
         out = ((1 - at) * (1 - ax) * v[ti, xi] + (1 - at) * ax * v[ti, xi + 1]
                + at * (1 - ax) * v[ti + 1, xi] + at * ax * v[ti + 1, xi + 1])
@@ -198,11 +202,20 @@ def coefficients(model, t, x, y, p, u):
     A state row against a control column gives the (controls x states)
     tables in one call; aligned per-path arrays give per-path values.
     """
+    sig, b = _diffusion_drift(model, t, x, u)
+    return sig, b, _driver(model, t, x, y, p, u, sig)
+
+
+def _diffusion_drift(model, t, x, u):
+    """(sigma, b) broadcast over x and u; they do not depend on the value."""
     shape = np.broadcast(x, u).shape
-    sig = _full(model.diffusion(t, x, u), shape)
-    b = _full(model.drift(t, x, u), shape)
-    f = _full(model.driver(t, x, y, p * sig, u), shape)
-    return sig, b, f
+    return (_full(model.diffusion(t, x, u), shape),
+            _full(model.drift(t, x, u), shape))
+
+
+def _driver(model, t, x, y, p, u, sig):
+    """f at z = p * sigma, with the shape of the ``sig`` table."""
+    return _full(model.driver(t, x, y, p * sig, u), sig.shape)
 
 
 def _full(values, shape):
@@ -259,11 +272,12 @@ def inf_hamiltonian(model, t, x, y, p, pp):
 def _coefficient_bounds(model, grid):
     """Sampled sup of sigma^2 and |b| over the box, for the step-size bound."""
     u_grid = model.control_set.points()
+    xs = grid.xs
     s2max, bmax = 0.0, 0.0
     for t in (0.0, 0.5 * grid.horizon, grid.horizon):
         for u in u_grid:
-            sig = np.asarray(model.diffusion(t, grid.xs, u), dtype=float)
-            b = np.asarray(model.drift(t, grid.xs, u), dtype=float)
+            sig = np.asarray(model.diffusion(t, xs, u), dtype=float)
+            b = np.asarray(model.drift(t, xs, u), dtype=float)
             s2max = max(s2max, float(np.max(sig * sig)))
             bmax = max(bmax, float(np.max(np.abs(b))))
     return s2max, bmax
@@ -344,6 +358,21 @@ def _solve_explicit(model, grid, cfl, penalty_level):
     return values, f"scheme=explicit, substeps={substeps}, boundary=extrap2"
 
 
+_GBSV, = get_lapack_funcs(("gbsv",), (np.empty(0),))
+
+
+def solve_banded(work, rhs):
+    """LAPACK ``gbsv`` solve of a (2,2)-banded system, in place.
+
+    ``work`` is a Fortran-order (7, n) array holding the band in rows 2-6
+    (LAPACK band storage; rows 0-1 take the LU fill-in); it comes back
+    holding the factors.  ``rhs`` comes back holding the solution.
+    Returns ``(solution, info)``; a positive ``info`` means singular.
+    """
+    _, _, x, info = _GBSV(2, 2, work, rhs, overwrite_ab=True, overwrite_b=True)
+    return x, info
+
+
 def _solve_policy_iteration(model, grid, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     ucol = model.control_set.points()[:, None]
@@ -351,44 +380,53 @@ def _solve_policy_iteration(model, grid, penalty_level):
     n = grid.x_steps + 1
     values = np.empty((grid.t_steps + 1, n))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
-    x_int = xs[1:-1]
+    x_row = xs[None, 1:-1]
     cols = np.arange(n - 2)
+    # banded system, bandwidths (2,2): interior rows implicit in the
+    # generator, edge rows impose linear extrapolation (set once here)
+    ab = np.zeros((5, n))
+    ab[2, 0] = 1.0
+    ab[1, 1] = -2.0
+    ab[0, 2] = 1.0
+    ab[2, -1] = 1.0
+    ab[3, -2] = -2.0
+    ab[4, -3] = 1.0
+    work = np.zeros((7, n), order="F")
 
     for i in range(grid.t_steps - 1, -1, -1):
         target = values[i + 1]
         w = target.copy()
         t_new = times[i]
         barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
+        sig_b = _diffusion_drift(model, t_new, x_row, ucol)
         converged = False
         for _ in range(_POLICY_ITERATIONS):
             wx = (w[2:] - w[:-2]) / (2 * dx)
             wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-            coef = coefficients(model, t_new, x_int[None, :], w[None, 1:-1],
-                                wx[None, :], ucol)
-            k = np.argmin(_assemble(coef, wx, wxx), axis=0)
-            sig, b, f = (c[k, cols] for c in coef)
+            coef = sig_b + (_driver(model, t_new, x_row, w[None, 1:-1],
+                                    wx[None, :], ucol, sig_b[0]),)
+            k = _assemble(coef, wx, wxx).argmin(axis=0)
+            sig, b, f = coef[0][k, cols], coef[1][k, cols], coef[2][k, cols]
             a = 0.5 * sig * sig
-            # banded system, bandwidths (2,2): interior rows implicit in the
-            # generator, edge rows impose linear extrapolation
-            ab = np.zeros((5, n))
             ab[2, 1:-1] = 1.0 + 2.0 * dt * a / dx ** 2
             ab[1, 2:] = -dt * (a / dx ** 2 + b / (2 * dx))
             ab[3, :-2] = -dt * (a / dx ** 2 - b / (2 * dx))
             rhs = np.empty(n)
             rhs[1:-1] = target[1:-1] + dt * f
-            ab[2, 0] = 1.0
-            ab[1, 1] = -2.0
-            ab[0, 2] = 1.0
             rhs[0] = 0.0
-            ab[2, -1] = 1.0
-            ab[3, -2] = -2.0
-            ab[4, -3] = 1.0
             rhs[-1] = 0.0
-            w_new = solve_banded((2, 2), ab, rhs)
+            if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+                raise BackwardSolverError(
+                    f"non-finite implicit system at time index {i}")
+            work[2:] = ab
+            w_new, info = solve_banded(work, rhs)
+            if info != 0:
+                raise BackwardSolverError(
+                    f"singular implicit system at time index {i} (gbsv info {info})")
             w_new = _barrier_resolve(w_new, barrier, penalty_level, dt)
-            shift = float(np.max(np.abs(w_new - w)))
+            shift = float(np.abs(w_new - w).max())
             w = w_new
-            if shift <= _POLICY_SHIFT_TOL * (1.0 + float(np.max(np.abs(w)))):
+            if shift <= _POLICY_SHIFT_TOL * (1.0 + float(np.abs(w).max())):
                 converged = True
                 break
         if not converged:
@@ -407,13 +445,13 @@ def residual(surface, model):
     grid = surface.grid
     out = np.full_like(surface.values, np.nan)
     u_grid = model.control_set.points()
-    xs = grid.xs
+    times, xs = grid.times, grid.xs
     for i in range(1, grid.t_steps):
         wt, wx, wxx = surface.derivative_rows(i)
-        h_rows = _hamiltonian_grid(model, grid.times[i], xs[1:-1],
+        h_rows = _hamiltonian_grid(model, times[i], xs[1:-1],
                                    surface.values[i, 1:-1], wx[1:-1], wxx[1:-1],
                                    u_grid)
-        barrier = np.asarray(model.obstacle(grid.times[i], xs[1:-1]), dtype=float)
+        barrier = np.asarray(model.obstacle(times[i], xs[1:-1]), dtype=float)
         pde = -wt[1:-1] - h_rows.min(axis=0)
         out[i, 1:-1] = np.maximum(surface.values[i, 1:-1] - barrier, pde)
         for j in surface.kink_columns:

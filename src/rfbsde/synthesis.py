@@ -64,10 +64,10 @@ def extract_feedback(surface, model):
     grid = surface.grid
     u_grid = model.control_set.points()
     table = np.empty_like(surface.values)
-    xs = grid.xs
+    times, xs = grid.times, grid.xs
     for i in range(grid.t_steps + 1):
         _, wx, wxx = surface.expansion_rows(i)
-        rows = _hamiltonian_grid(model, grid.times[i], xs, surface.values[i],
+        rows = _hamiltonian_grid(model, times[i], xs, surface.values[i],
                                  wx, wxx, u_grid)
         vmin = rows.min(axis=0)
         tol = 1e-12 * (1.0 + np.abs(vmin))

@@ -19,6 +19,7 @@ never promoted to a pass.  All sampling is seeded, so reports are
 reproducible bit for bit.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -169,6 +170,19 @@ class MembershipResult:
     margin: float            # smallest max-quotient across radii (signed)
 
 
+@functools.lru_cache(maxsize=16)
+def _probe_draws(seed):
+    """Unit uniforms of the probe stream of ``seed``, read-only.
+
+    The prefix of one stream serves every probe with this seed: enough
+    for all radii with both time sides.
+    """
+    gen = np.random.Generator(np.random.Philox(key=(seed + 0x5D1F) & (2**63 - 1)))
+    draws = gen.random(_PROBE_LEVELS * 4 * _PROBE_SAMPLES)
+    draws.setflags(write=False)
+    return draws
+
+
 def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
                                kind="super", side="right"):
     """Sampled test of one-sided second-order expansion membership.
@@ -179,13 +193,22 @@ def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
     quotient behaves as the radius shrinks to grid scale.  ``kind='sub'``
     flips the sign convention; ``side='both'`` extends the time probe to the
     left, which can only enlarge the quotients.
+
+    Per radius the seeded stream gives, in order, the right-time draws, the
+    left-time draws (``side='both'`` with t > 0) and the state draws, taken
+    as ``low + (high - low) * U``.  The candidate state must lie in the box.
     """
     if kind not in ("super", "sub"):
         raise ConfigError("kind must be 'super' or 'sub'")
+    if side not in ("right", "both"):
+        raise ConfigError("side must be 'right' or 'both'")
     grid = surface.grid
     t, x = float(cand.t), float(cand.x)
     if not (0.0 <= t < grid.horizon):
         raise ConfigError("candidate time must lie in [0, horizon)")
+    if not (grid.x_min <= x <= grid.x_max):
+        raise ConfigError(
+            f"candidate state {x!r} outside the box [{grid.x_min}, {grid.x_max}]")
     w0 = float(np.asarray(surface.value_at(t, x)))
     scale = 1.0 + abs(w0)
 
@@ -197,29 +220,29 @@ def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
         if rho * 0.5 < floor:
             break
         rho *= 0.5
-    gen = np.random.Generator(np.random.Philox(key=(probe.seed + 0x5D1F) & (2**63 - 1)))
+    # one row per radius: right-time, [left-time,] then state draws
+    rho = np.array(radii)[:, None]
+    n = _PROBE_SAMPLES
+    both = side == "both" and t > 0.0
+    width = 2 * n if both else n                 # points per radius
+    draws = _probe_draws(probe.seed)[:2 * width * len(radii)].reshape(len(radii), -1)
+    s = t + (1.0 - draws[:, :n]) * rho           # 1 - U in (0, 1]
+    if both:
+        s = np.concatenate(
+            [s, t - (1.0 - draws[:, n:width]) * np.minimum(rho, t)], axis=1)
+    span = np.sqrt(rho)
+    low = -np.minimum(span, x - grid.x_min)
+    high = np.minimum(span, grid.x_max - x)
+    y = x + (low + (high - low) * draws[:, width:])
+    w = np.asarray(surface.value_at(s, y), dtype=float)
+    num = (w - w0 - cand.time_slope * (s - t) - cand.gradient * (y - x)
+           - 0.5 * cand.curvature * (y - x) ** 2)
+    den = np.abs(s - t) + (y - x) ** 2
+    q = num / np.where(den > 0, den, 1.0)
+    if kind == "sub":
+        q = -q
 
-    quotients = []
-    for rho in radii:
-        u = 1.0 - gen.random(_PROBE_SAMPLES)         # in (0, 1]
-        s = t + u * rho
-        if side == "both" and t > 0.0:
-            back = 1.0 - gen.random(_PROBE_SAMPLES)
-            s = np.concatenate([s, t - back * min(rho, t)])
-        span = math.sqrt(rho)
-        lo = min(span, x - grid.x_min)
-        hi = min(span, grid.x_max - x)
-        y = x + gen.uniform(-lo, hi, size=len(s))
-        w = np.asarray(surface.value_at(s, y), dtype=float)
-        num = (w - w0 - cand.time_slope * (s - t) - cand.gradient * (y - x)
-               - 0.5 * cand.curvature * (y - x) ** 2)
-        den = np.abs(s - t) + (y - x) ** 2
-        q = num / np.where(den > 0, den, 1.0)
-        if kind == "sub":
-            q = -q
-        quotients.append(float(q.max()))
-
-    m = np.array(quotients)
+    m = q.max(axis=1)                            # per-radius max quotient
     margin = float(m.min())
     m_tol = probe.member_tol * scale
     nm_tol = probe.nonmember_tol * scale
@@ -564,12 +587,13 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
     n = min(config.node_samples, (grid.t_steps - 1) * (grid.x_steps - 1))
     ti = gen.integers(0, grid.t_steps, size=n)
     xj = gen.integers(1, grid.x_steps, size=n)
+    times, xs = grid.times, grid.xs
     members = 0
     inconclusive = 0
     rejected = 0
     worst_gap = -math.inf
     for i, j in zip(ti, xj):
-        s, x = float(grid.times[i]), float(grid.xs[j])
+        s, x = float(times[i]), float(xs[j])
         q, p, pp = (float(c) for c in candidate_triple(s, x))
         res = check_superdiff_membership(
             surface, SuperdiffCandidate(q, p, pp, s, x), config.probe)

@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from rfbsde import (ConfigError, HamiltonianQuery, KinkColumnError,
-                    SpaceTimeGrid, StabilityError, hamiltonian,
+from rfbsde import (BackwardSolverError, ConfigError, HamiltonianQuery,
+                    KinkColumnError, SpaceTimeGrid, StabilityError, hamiltonian,
                     inf_hamiltonian, residual, solve_obstacle_hjb)
 from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
-from rfbsde.model import ControlModel, ControlSet, example_classical, example_viscosity
+from rfbsde.model import (ControlModel, ControlSet, example_classical, example_viscosity,
+                          random_lipschitz_model)
 
 E2 = math.exp(2.0)
 
@@ -395,3 +397,46 @@ def test_grid_csv_matches_per_element_repr(tmp_path):
 
     write_grid_csv(path, comments, grid, None)
     assert path.read_bytes() == b"# first\n# second: 2\n"
+
+
+# ---------------------------------------------------------------------------
+# Implicit scheme: pinned values and refusals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_model, grid, digest", [
+    (example_viscosity, SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40),
+     "15189099c5729e17f92efaeabf1fbd38c099767ae3d62eb9d4b5b6f5b511bfbe"),
+    (lambda: random_lipschitz_model(2), SpaceTimeGrid(1.0, -3.0, 3.0, 100, 40),
+     "af638cfc915ef83b40b0479d74f25de1463dd351acd6982003c0f48a2cadaf0b"),
+], ids=["example-viscosity", "random-lipschitz-2"])
+def test_implicit_values_pinned(make_model, grid, digest):
+    # sha256 of the float64 values as policy iteration with scipy's
+    # solve_banded produced them; the direct gbsv solve keeps every bit
+    surface = solve_obstacle_hjb(make_model(), grid, scheme="implicit")
+    assert hashlib.sha256(surface.values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("explicit", "non-finite values near t="),
+    ("implicit", "non-finite implicit system at time index 199"),
+], ids=["explicit", "implicit"])
+def test_nonfinite_drift_raises_backward_error(scheme, message):
+    m = example_viscosity()
+
+    def drift(r, x, u):
+        return np.where(np.asarray(x) > 4.0, np.nan, m.drift(r, x, u))
+
+    grid = SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40)
+    with pytest.raises(BackwardSolverError, match=message):
+        solve_obstacle_hjb(dataclasses.replace(m, drift=drift), grid, scheme=scheme)
+
+
+def test_singular_implicit_system_raises_backward_error():
+    # sigma = 0 and b = 4x on a unit-cell grid with dt = 1/4: the central
+    # stencil rows kill the linear functions the edge rows admit
+    m = dataclasses.replace(example_classical(),
+                            drift=lambda r, x, u: 4.0 * x + 0.0 * u,
+                            diffusion=lambda r, x, u: 0.0 * x)
+    grid = SpaceTimeGrid(1.0, 0.0, 3.0, 4, 3)
+    with pytest.raises(BackwardSolverError, match="singular implicit system at time index 3"):
+        solve_obstacle_hjb(m, grid, scheme="implicit")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from rfbsde import (ConfigError, KinkColumnError, OpenLoopControl,
                     check_superdiff_membership, check_surface_regularity,
                     check_viscosity_inequalities, verify_classical,
                     verify_feedback_optimality, verify_viscosity_conditions)
-from rfbsde.hjb import SpaceTimeGrid, candidate_surface
+from rfbsde import verify
+from rfbsde.hjb import SpaceTimeGrid, candidate_surface, solve_obstacle_hjb
 from rfbsde.model import example_classical, example_viscosity, zero_model
 from rfbsde.synthesis import FeedbackLaw, extract_feedback
-from rfbsde.verify import (InequalitySample, MembershipProbe,
+from rfbsde.verify import (InequalitySample, MembershipProbe, MembershipResult,
                            SuperdiffCandidate, VerifyConfig,
                            build_control_battery, tables_from_surface)
 
@@ -107,6 +109,103 @@ def test_membership_determinism(viscosity_candidate):
     a = check_superdiff_membership(viscosity_candidate, cand, PROBE)
     b = check_superdiff_membership(viscosity_candidate, cand, PROBE)
     assert a == b
+
+
+def _per_radius_membership(surface, cand, probe, kind, side):
+    """The probe as one draw and one surface evaluation per radius: the
+    batched probe must reproduce it bit for bit."""
+    grid = surface.grid
+    t, x = float(cand.t), float(cand.x)
+    w0 = float(np.asarray(surface.value_at(t, x)))
+    scale = 1.0 + abs(w0)
+    floor = 0.0 if surface.exact_form is not None else max(grid.dt, grid.dx ** 2)
+    radii = []
+    rho = min(verify._PROBE_MAX_RADIUS, grid.horizon - t)
+    for _ in range(verify._PROBE_LEVELS):
+        radii.append(rho)
+        if rho * 0.5 < floor:
+            break
+        rho *= 0.5
+    gen = np.random.Generator(np.random.Philox(key=(probe.seed + 0x5D1F) & (2**63 - 1)))
+    quotients = []
+    for rho in radii:
+        u = 1.0 - gen.random(verify._PROBE_SAMPLES)
+        s = t + u * rho
+        if side == "both" and t > 0.0:
+            back = 1.0 - gen.random(verify._PROBE_SAMPLES)
+            s = np.concatenate([s, t - back * min(rho, t)])
+        span = math.sqrt(rho)
+        lo = min(span, x - grid.x_min)
+        hi = min(span, grid.x_max - x)
+        y = x + gen.uniform(-lo, hi, size=len(s))
+        w = np.asarray(surface.value_at(s, y), dtype=float)
+        num = (w - w0 - cand.time_slope * (s - t) - cand.gradient * (y - x)
+               - 0.5 * cand.curvature * (y - x) ** 2)
+        den = np.abs(s - t) + (y - x) ** 2
+        q = num / np.where(den > 0, den, 1.0)
+        if kind == "sub":
+            q = -q
+        quotients.append(float(q.max()))
+    m = np.array(quotients)
+    margin = float(m.min())
+    m_tol = probe.member_tol * scale
+    nm_tol = probe.nonmember_tol * scale
+    if m[-1] <= m_tol or (margin <= m_tol and m[-1] <= m[0] + m_tol):
+        verdict = "member"
+    elif margin >= nm_tol:
+        verdict = "non-member"
+    else:
+        verdict = "inconclusive"
+    return MembershipResult(verdict=verdict, margin=margin)
+
+
+@pytest.fixture(scope="module")
+def probe_surfaces(viscosity_candidate):
+    grid = SpaceTimeGrid(horizon=1.0, x_min=-5.0, x_max=5.0, t_steps=400, x_steps=200)
+    return {
+        "exact-form": viscosity_candidate,
+        "candidate-grid": dataclasses.replace(viscosity_candidate, exact_form=None),
+        "computed": solve_obstacle_hjb(example_viscosity(), grid, scheme="implicit"),
+    }
+
+
+@pytest.mark.parametrize("surface_id", ["exact-form", "candidate-grid", "computed"])
+@pytest.mark.parametrize("side", ["right", "both"])
+@pytest.mark.parametrize("kind", ["super", "sub"])
+def test_membership_batched_matches_per_radius(probe_surfaces, surface_id, kind, side):
+    surface = probe_surfaces[surface_id]
+    g = surface.grid
+    # interior, kink, t = 0, near the horizon (fewer radii), both box edges
+    points = [(0.3, 0.5), (0.3, 0.0), (0.0, -0.25), (0.97, 0.2), (0.999, -0.1),
+              (0.5, g.x_min), (0.5, g.x_max), (0.9, g.x_max)]
+    triples = [(0.0, 1.0, 0.0), (2.0, 1.5, -1.0), (-3.0, 0.5, 4.0)]
+    verdicts = set()
+    for probe in (PROBE, MembershipProbe(seed=123, member_tol=0.1)):
+        for t, x in points:
+            for q, p, pp in triples:
+                cand = SuperdiffCandidate(q, p, pp, t, x)
+                got = check_superdiff_membership(surface, cand, probe, kind=kind, side=side)
+                assert got == _per_radius_membership(surface, cand, probe, kind, side)
+                verdicts.add(got.verdict)
+    assert {"member", "non-member"} <= verdicts
+
+
+@pytest.mark.parametrize("x, side, message", [
+    (7.0, "right", "outside the box"),
+    (-1.0 - 1e-12, "right", "outside the box"),
+    (math.inf, "right", "outside the box"),
+    (math.nan, "right", "outside the box"),
+    (0.5, "left", "side must be 'right' or 'both'"),
+], ids=["above", "just-below", "inf", "nan", "left-side"])
+def test_membership_refuses_bad_state_or_side(viscosity_candidate, monkeypatch,
+                                             x, side, message):
+    def no_draws(seed):
+        raise AssertionError("probe drew before refusing")
+    monkeypatch.setattr(verify, "_probe_draws", no_draws)
+    with pytest.raises(ConfigError, match=message):
+        check_superdiff_membership(viscosity_candidate,
+                                   SuperdiffCandidate(0.0, 1.0, 0.0, 0.3, x),
+                                   PROBE, side=side)
 
 
 # ---------------------------------------------------------------------------
