@@ -14,6 +14,7 @@ artifacts byte for byte (the manifest records timings, which vary).
 """
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -147,6 +148,15 @@ class _Run:
         self.extra = {}
         self._t0 = time.time()
 
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Add the wall time of the block to ``timings[name]``."""
+        t0 = time.time()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.time() - t0
+
     def path(self, name):
         p = self.out / name
         self.artifacts.append(str(p))
@@ -157,7 +167,8 @@ class _Run:
             "command": self.command,
             "config_sha256": _config_hash(self.cfg),
             "artifacts": sorted(self.artifacts),
-            "timings_s": {**self.timings, "total": round(time.time() - self._t0, 3)},
+            "timings_s": {**{k: round(v, 3) for k, v in self.timings.items()},
+                          "total": round(time.time() - self._t0, 3)},
             "version": __version__,
             **self.extra,
         }
@@ -267,24 +278,33 @@ def cmd_solve(cfg):
     choice = _choice(cfg, "pde.surface", _SURFACES)
     if choice == "candidate" and model.name not in _CANDIDATE_FOR:
         raise ConfigError(f"no candidate surface for model '{model.name}'")
-    t0 = time.time()
-    surface = _surface_for(cfg, model, choice)
-    run.timings["solve"] = round(time.time() - t0, 3)
-    write_surface_csv(surface, run.path("surface.csv"))
+    with run.stage("solve"):
+        surface = _surface_for(cfg, model, choice)
+    with run.stage("write_csv"):
+        write_surface_csv(surface, run.path("surface.csv"))
 
-    res = residual(surface, model)
-    write_grid_csv(run.path("residual.csv"),
-                   ["residual field (NaN at edges and kink columns)"], grid, res)
-
-    law = extract_feedback(surface, model)
-    write_law_csv(law, run.path("law.csv"))
-
+    # each full-grid table is dropped once its CSV is written
+    with run.stage("residual"):
+        res = residual(surface, model)
+    with run.stage("write_csv"):
+        write_grid_csv(run.path("residual.csv"),
+                       ["residual field (NaN at edges and kink columns)"], grid, res)
     finite = res[np.isfinite(res)]
-    tt, xx = np.meshgrid(grid.times, grid.xs, indexing="ij")
-    barrier = np.asarray(model.obstacle(tt, xx), dtype=float)
-    violation = float(np.maximum(surface.values - barrier, 0.0).max())
-    run.extra["kink_columns"] = list(surface.kink_columns)
     run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
+    del res, finite
+
+    with run.stage("law"):
+        law = extract_feedback(surface, model)
+    with run.stage("write_csv"):
+        write_law_csv(law, run.path("law.csv"))
+    del law
+
+    # one time row at a time: the obstacle takes a scalar time, as in the solvers
+    xs = grid.xs
+    violation = float(np.max([
+        np.maximum(w - np.asarray(model.obstacle(t, xs), dtype=float), 0.0).max()
+        for t, w in zip(grid.times, surface.values)]))
+    run.extra["kink_columns"] = list(surface.kink_columns)
     run.extra["obstacle_violation_max"] = violation
     run.finish()
     print(f"surface: {surface.provenance}")

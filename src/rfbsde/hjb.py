@@ -45,8 +45,10 @@ class SpaceTimeGrid:
     x_steps: int
 
     def __post_init__(self):
-        if self.t_steps < 2 or self.x_steps < 2:
-            raise ConfigError("need at least 2 steps per axis")
+        # the edge stencils (one-sided second differences, the explicit
+        # scheme's quadratic refill) read four state nodes
+        if self.t_steps < 2 or self.x_steps < 3:
+            raise ConfigError("need at least 2 time steps and 3 state steps")
         if not (self.x_min < self.x_max):
             raise ConfigError("state box must be nondegenerate")
         if self.horizon <= 0:
@@ -134,27 +136,12 @@ class ValueSurface:
         Central differences at interior nodes, one-sided second-order at the
         edges; kink columns are reported as NaN in the space derivatives.
         """
-        v, dt, dx = self.values, self.grid.dt, self.grid.dx
-        w = v[i]
-        wt = np.empty_like(w)
-        if 0 < i < self.grid.t_steps:
-            wt[:] = (v[i + 1] - v[i - 1]) / (2 * dt)
-        elif i == 0:
-            wt[:] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
-        else:
-            wt[:] = (3 * v[i] - 4 * v[i - 1] + v[i - 2]) / (2 * dt)
-        wx = np.empty_like(w)
-        wx[1:-1] = (w[2:] - w[:-2]) / (2 * dx)
-        wx[0] = (-3 * w[0] + 4 * w[1] - w[2]) / (2 * dx)
-        wx[-1] = (3 * w[-1] - 4 * w[-2] + w[-3]) / (2 * dx)
-        wxx = np.empty_like(w)
-        wxx[1:-1] = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-        wxx[0] = (2 * w[0] - 5 * w[1] + 4 * w[2] - w[3]) / dx ** 2
-        wxx[-1] = (2 * w[-1] - 5 * w[-2] + 4 * w[-3] - w[-4]) / dx ** 2
-        for j in self.kink_columns:
-            wx[j] = np.nan
-            wxx[j] = np.nan
-        return wt, wx, wxx
+        return (self._time_row(i),) + self._space_derivatives(self.values[i], False)
+
+    def derivative_tables(self):
+        """:meth:`derivative_rows` at every time index, as whole-grid tables."""
+        return (_first_difference(self.values, self.grid.dt, axis=0),) \
+            + self._space_derivatives(self.values, False)
 
     def derivatives(self, i, j):
         """(w_t, w_x, w_xx) at one grid node; refuses kink columns."""
@@ -167,9 +154,7 @@ class ValueSurface:
 
     def one_sided_slopes(self, i, j):
         """(left, right) first differences at a node, for kink handling."""
-        w, dx = self.values[i], self.grid.dx
-        left = (w[j] - w[j - 1]) / dx if j > 0 else (w[j + 1] - w[j]) / dx
-        right = (w[j + 1] - w[j]) / dx if j < len(w) - 1 else left
+        left, right = _one_sided_slopes(self.values[i], j, self.grid.dx)
         return float(left), float(right)
 
     def expansion_rows(self, i):
@@ -178,12 +163,66 @@ class ValueSurface:
         At a declared kink the gradient slot takes the midpoint of the
         one-sided slopes and the curvature slot zero.
         """
-        wt, wx, wxx = self.derivative_rows(i)
+        return (self._time_row(i),) + self._space_derivatives(self.values[i], True)
+
+    def expansion_tables(self):
+        """:meth:`expansion_rows` at every time index, as whole-grid tables."""
+        return (_first_difference(self.values, self.grid.dt, axis=0),) \
+            + self._space_derivatives(self.values, True)
+
+    def _time_row(self, i):
+        """w_t at time index i, from the three-row window that holds its stencil."""
+        i = range(self.grid.t_steps + 1)[i]
+        lo = min(max(i - 1, 0), self.grid.t_steps - 2)
+        return _first_difference(self.values[lo:lo + 3], self.grid.dt, axis=0)[i - lo]
+
+    def _space_derivatives(self, w, expansion):
+        """(w_x, w_xx) of the value rows ``w`` (state along the last axis).
+
+        Kink columns are NaN, or with ``expansion`` the midpoint of the
+        one-sided slopes and zero curvature.
+        """
+        dx = self.grid.dx
+        wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
         for j in self.kink_columns:
-            left, right = self.one_sided_slopes(i, j)
-            wx[j] = 0.5 * (left + right)
-            wxx[j] = 0.0
-        return wt, wx, wxx
+            if expansion:
+                left, right = _one_sided_slopes(w, j, dx)
+                wx[..., j] = 0.5 * (left + right)
+                wxx[..., j] = 0.0
+            else:
+                wx[..., j] = np.nan
+                wxx[..., j] = np.nan
+        return wx, wxx
+
+
+def _first_difference(a, h, axis=-1):
+    """First derivative along ``axis``: central inside, one-sided second
+    order at both ends."""
+    a = np.moveaxis(a, axis, -1)
+    d = np.empty_like(a)
+    d[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2 * h)
+    d[..., 0] = (-3 * a[..., 0] + 4 * a[..., 1] - a[..., 2]) / (2 * h)
+    d[..., -1] = (3 * a[..., -1] - 4 * a[..., -2] + a[..., -3]) / (2 * h)
+    return np.moveaxis(d, -1, axis)
+
+
+def _second_difference(w, h):
+    """Second derivative along the last axis: central inside, one-sided
+    second order at both ends."""
+    d = np.empty_like(w)
+    d[..., 1:-1] = (w[..., 2:] - 2 * w[..., 1:-1] + w[..., :-2]) / h ** 2
+    d[..., 0] = (2 * w[..., 0] - 5 * w[..., 1] + 4 * w[..., 2] - w[..., 3]) / h ** 2
+    d[..., -1] = (2 * w[..., -1] - 5 * w[..., -2] + 4 * w[..., -3] - w[..., -4]) / h ** 2
+    return d
+
+
+def _one_sided_slopes(w, j, h):
+    """(left, right) first differences at state column j of the rows ``w``;
+    at an edge column both take the one slope there is."""
+    n = w.shape[-1]
+    left = (w[..., j] - w[..., j - 1]) / h if j > 0 else (w[..., j + 1] - w[..., j]) / h
+    right = (w[..., j + 1] - w[..., j]) / h if j < n - 1 else left
+    return left, right
 
 
 @dataclass(frozen=True)
@@ -196,40 +235,53 @@ class HamiltonianQuery:
     control: float
 
 
-def coefficients(model, t, x, y, p, u):
+def coefficients(model, t, x, y, p, u, sig_b=None):
     """(sigma, b, f) with f taken at z = p * sigma, broadcast over x and u.
 
-    A state row against a control column gives the (controls x states)
-    tables in one call; aligned per-path arrays give per-path values.
+    The (controls x states) tables of :func:`_state_control_tables` give
+    the Hamiltonian's coefficient tables in one call; aligned per-path
+    arrays give per-path values.  ``sig_b`` is (sigma, b) from an earlier
+    call at the same (t, x, u): they do not depend on the value, so policy
+    iteration evaluates them once per time step.
     """
-    sig, b = _diffusion_drift(model, t, x, u)
-    return sig, b, _driver(model, t, x, y, p, u, sig)
-
-
-def _diffusion_drift(model, t, x, u):
-    """(sigma, b) broadcast over x and u; they do not depend on the value."""
     shape = np.broadcast(x, u).shape
-    return (_full(model.diffusion(t, x, u), shape),
-            _full(model.drift(t, x, u), shape))
-
-
-def _driver(model, t, x, y, p, u, sig):
-    """f at z = p * sigma, with the shape of the ``sig`` table."""
-    return _full(model.driver(t, x, y, p * sig, u), sig.shape)
+    if sig_b is None:
+        sig_b = (_full(model.diffusion(t, x, u), shape),
+                 _full(model.drift(t, x, u), shape))
+    return sig_b + (_full(model.driver(t, x, y, p * sig_b[0], u), shape),)
 
 
 def _full(values, shape):
     """``values`` as floats of ``shape``: a read-only broadcast view when the
-    callable returned fewer dimensions (a scalar, a ``(1, n)`` row), else the
+    callable returned fewer dimensions (a scalar, a state row), else the
     returned array itself.  Callers only read these tables."""
     arr = np.asarray(values, dtype=float)
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
-def _assemble(coef, p, pp):
-    """H = (1/2) sigma^2 pp + b p + f from the coefficients."""
+def _state_control_tables(model, xs):
+    """Contiguous read-only (controls x states) tables of the states ``xs``
+    and the control grid, the model's arguments for a Hamiltonian grid.
+
+    Built once per sweep: a model that returns its argument hands back the
+    table itself, which the kernel only reads.
+    """
+    x, u = np.meshgrid(np.asarray(xs, dtype=float), model.control_set.points())
+    x.setflags(write=False)
+    u.setflags(write=False)
+    return x, u
+
+
+def _assemble(coef, p, pp, out=None):
+    """H = (1/2) sigma^2 pp + b p + f from the coefficients, in that order,
+    written into ``out`` when it is given (never a table the model returned)."""
     sig, b, f = coef
-    return 0.5 * sig * sig * pp + b * p + f
+    out = np.multiply(0.5, sig, out=out)
+    out *= sig
+    out *= pp
+    out += b * p
+    out += f
+    return out
 
 
 def hamiltonian(model, query):
@@ -244,12 +296,11 @@ def hamiltonian(model, query):
     return float(_assemble(coef, query.gradient, query.curvature))
 
 
-def _hamiltonian_grid(model, t, x_row, y_row, p_row, pp_row, u_grid):
-    """H on (controls x states) in one broadcast call."""
-    coef = coefficients(model, t, np.asarray(x_row, dtype=float)[None, :],
-                        y_row[None, :], p_row[None, :],
-                        np.asarray(u_grid, dtype=float)[:, None])
-    return _assemble(coef, p_row, pp_row)
+def _hamiltonian_grid(model, t, tables, y, p, pp, out=None):
+    """H on the (controls x states) ``tables`` of :func:`_state_control_tables`
+    at the value, gradient and curvature rows ``y``, ``p``, ``pp``."""
+    x, u = tables
+    return _assemble(coefficients(model, t, x, y, p, u), p, pp, out)
 
 
 def inf_hamiltonian(model, t, x, y, p, pp):
@@ -259,8 +310,8 @@ def inf_hamiltonian(model, t, x, y, p, pp):
     the smallest control on the grid.
     """
     u_grid = model.control_set.points()
-    values = _hamiltonian_grid(model, t, np.array([x]), np.array([y]),
-                               np.array([p]), np.array([pp]), u_grid)[:, 0]
+    values = _hamiltonian_grid(model, t, _state_control_tables(model, [x]),
+                               np.array([y]), np.array([p]), np.array([pp]))[:, 0]
     if not np.all(np.isfinite(values)):
         raise EvaluationError("non-finite Hamiltonian on the control grid")
     vmin = float(values.min())
@@ -330,23 +381,26 @@ def _solve_explicit(model, grid, cfl, penalty_level):
             f"explicit step dt={dt:.6g} violates the stability bound; "
             f"required dt <= {stable_dt:.6g}", required_dt=stable_dt)
 
-    ucol = model.control_set.points()[:, None]
+    tables = _state_control_tables(model, xs[1:-1])
+    h = np.empty(tables[0].shape)
     times = grid.times
     values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
     sub_dt = dt / substeps
-    x_row = xs[None, 1:-1]
 
+    two_dx, dx2 = 2 * dx, dx ** 2
     w = values[-1].copy()
     for i in range(grid.t_steps - 1, -1, -1):
         for k in range(substeps):
             t_lvl = times[i + 1] - k * sub_dt
             t_new = t_lvl - sub_dt
-            wx = (w[2:] - w[:-2]) / (2 * dx)
-            wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-            coef = coefficients(model, t_lvl, x_row, w[None, 1:-1], wx[None, :], ucol)
+            up, mid, down = w[2:], w[1:-1], w[:-2]
+            wx = (up - down) / two_dx
+            wxx = (up - 2 * mid + down) / dx2
+            step = _hamiltonian_grid(model, t_lvl, tables, mid, wx, wxx, h).min(axis=0)
+            step *= sub_dt
             w_new = np.empty_like(w)
-            w_new[1:-1] = w[1:-1] + sub_dt * _assemble(coef, wx, wxx).min(axis=0)
+            np.add(mid, step, out=w_new[1:-1])
             w_new[0] = 3 * w_new[1] - 3 * w_new[2] + w_new[3]
             w_new[-1] = 3 * w_new[-2] - 3 * w_new[-3] + w_new[-4]
             barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
@@ -375,12 +429,12 @@ def solve_banded(work, rhs):
 
 def _solve_policy_iteration(model, grid, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
-    ucol = model.control_set.points()[:, None]
+    x_tab, u_tab = _state_control_tables(model, xs[1:-1])
+    h = np.empty(x_tab.shape)
     times = grid.times
     n = grid.x_steps + 1
     values = np.empty((grid.t_steps + 1, n))
     values[-1] = np.asarray(model.terminal(xs), dtype=float)
-    x_row = xs[None, 1:-1]
     cols = np.arange(n - 2)
     # banded system, bandwidths (2,2): interior rows implicit in the
     # generator, edge rows impose linear extrapolation (set once here)
@@ -398,14 +452,14 @@ def _solve_policy_iteration(model, grid, penalty_level):
         w = target.copy()
         t_new = times[i]
         barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
-        sig_b = _diffusion_drift(model, t_new, x_row, ucol)
+        sig_b = None
         converged = False
         for _ in range(_POLICY_ITERATIONS):
             wx = (w[2:] - w[:-2]) / (2 * dx)
             wxx = (w[2:] - 2 * w[1:-1] + w[:-2]) / dx ** 2
-            coef = sig_b + (_driver(model, t_new, x_row, w[None, 1:-1],
-                                    wx[None, :], ucol, sig_b[0]),)
-            k = _assemble(coef, wx, wxx).argmin(axis=0)
+            coef = coefficients(model, t_new, x_tab, w[1:-1], wx, u_tab, sig_b)
+            sig_b = coef[:2]
+            k = _assemble(coef, wx, wxx, h).argmin(axis=0)
             sig, b, f = coef[0][k, cols], coef[1][k, cols], coef[2][k, cols]
             a = 0.5 * sig * sig
             ab[2, 1:-1] = 1.0 + 2.0 * dt * a / dx ** 2
@@ -444,18 +498,17 @@ def residual(surface, model):
     """
     grid = surface.grid
     out = np.full_like(surface.values, np.nan)
-    u_grid = model.control_set.points()
     times, xs = grid.times, grid.xs
+    wt, wx, wxx = surface.derivative_tables()
+    tables = _state_control_tables(model, xs[1:-1])
+    h = np.empty(tables[0].shape)
     for i in range(1, grid.t_steps):
-        wt, wx, wxx = surface.derivative_rows(i)
-        h_rows = _hamiltonian_grid(model, times[i], xs[1:-1],
-                                   surface.values[i, 1:-1], wx[1:-1], wxx[1:-1],
-                                   u_grid)
+        w = surface.values[i, 1:-1]
+        _hamiltonian_grid(model, times[i], tables, w, wx[i, 1:-1], wxx[i, 1:-1], h)
         barrier = np.asarray(model.obstacle(times[i], xs[1:-1]), dtype=float)
-        pde = -wt[1:-1] - h_rows.min(axis=0)
-        out[i, 1:-1] = np.maximum(surface.values[i, 1:-1] - barrier, pde)
-        for j in surface.kink_columns:
-            out[i, j] = np.nan
+        pde = -wt[i, 1:-1] - h.min(axis=0)
+        out[i, 1:-1] = np.maximum(w - barrier, pde)
+    out[:, list(surface.kink_columns)] = np.nan
     return out
 
 

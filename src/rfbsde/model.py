@@ -7,10 +7,10 @@ are immutable and safe to share across workers; every operation here is pure
 given its seed.
 
 State and noise are scalar.  Coefficient callables receive plain floats or
-numpy arrays and must broadcast: called with a state row of shape ``(1, n)``
-and a control column of shape ``(K, 1)`` they return values that broadcast to
-``(K, n)``, which is how the Hamiltonian is evaluated over controls x states
-in one call.
+numpy arrays and must broadcast: called with contiguous ``(K, n)`` tables of
+states and controls (value and slope arguments as state rows or tables) they
+return values that broadcast to ``(K, n)``, which is how the Hamiltonian is
+evaluated over controls x states in one call.  Time is always a scalar.
 """
 
 import math

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import _hamiltonian_grid, write_grid_csv
+from .hjb import _hamiltonian_grid, _state_control_tables, write_grid_csv
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import simulate_closed_loop
 
@@ -64,11 +64,11 @@ def extract_feedback(surface, model):
     grid = surface.grid
     u_grid = model.control_set.points()
     table = np.empty_like(surface.values)
-    times, xs = grid.times, grid.xs
-    for i in range(grid.t_steps + 1):
-        _, wx, wxx = surface.expansion_rows(i)
-        rows = _hamiltonian_grid(model, times[i], xs, surface.values[i],
-                                 wx, wxx, u_grid)
+    _, wx, wxx = surface.expansion_tables()
+    tables = _state_control_tables(model, grid.xs)
+    rows = np.empty(tables[0].shape)
+    for i, t in enumerate(grid.times):
+        _hamiltonian_grid(model, t, tables, surface.values[i], wx[i], wxx[i], rows)
         vmin = rows.min(axis=0)
         tol = 1e-12 * (1.0 + np.abs(vmin))
         first = np.argmax(rows <= vmin + tol, axis=0)

@@ -559,11 +559,7 @@ def tables_from_surface(surface):
     from finite-difference rows of the surface (kinks: slope midpoint,
     curvature 0)."""
     grid = surface.grid
-    qs = np.empty_like(surface.values)
-    ps = np.empty_like(surface.values)
-    pps = np.empty_like(surface.values)
-    for i in range(grid.t_steps + 1):
-        qs[i], ps[i], pps[i] = surface.expansion_rows(i)
+    qs, ps, pps = surface.expansion_tables()
 
     def triple(s, x):
         node = grid.nearest_node(s, x)

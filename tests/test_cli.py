@@ -4,16 +4,18 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import rfbsde
-from rfbsde import cli
+from rfbsde import SpaceTimeGrid, cli, solve_obstacle_hjb
 from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
                         load_config, main)
+from rfbsde.model import example_classical
 from rfbsde.rbsde import SolverConfig
 from rfbsde.verify import MembershipProbe, VerifyConfig
 
@@ -61,6 +63,48 @@ def test_solve_emits_artifacts_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["obstacle_violation_max"] == 0.0
+    assert set(manifest["timings_s"]) == {"solve", "residual", "law", "write_csv", "total"}
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_solve_refuses_fewer_than_three_state_steps(tmp_path, capsys, scheme):
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", "pde.x_steps=2",
+                                "--set", "pde.t_steps=4", "--set", f"pde.scheme={scheme}"])
+    assert code == 2
+    assert err.startswith("ERROR[config]")
+    assert "3 state steps" in err
+
+
+def _lowered_barrier_model(time_of):
+    """example-classical under a barrier that binds before the horizon;
+    ``time_of`` reads the time argument of the obstacle."""
+    def build(horizon=1.0, control_points=5):
+        scale = math.exp(2.0 * horizon)
+
+        def obstacle(r, x):
+            return np.asarray(x, dtype=float) * scale - 0.5 * (horizon - time_of(r))
+        return replace(example_classical(horizon, control_points),
+                       name="lowered-barrier", obstacle=obstacle)
+    return build
+
+
+def test_solve_obstacle_takes_scalar_time(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(rfbsde.model.MODEL_CATALOG, "lowered-barrier",
+                        _lowered_barrier_model(float))
+    # the soft barrier overshoots, so the violation is positive
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path),
+                                "--set", "model.name=lowered-barrier",
+                                "--set", "pde.penalty_level=5", *FAST_PDE])
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # the same barrier read over the whole (times x states) grid at once
+    model = _lowered_barrier_model(np.asarray)()
+    grid = SpaceTimeGrid(1.0, 0.1, 5.0, 200, 60)
+    surface = solve_obstacle_hjb(model, grid, penalty_level=5.0)
+    tt, xx = np.meshgrid(grid.times, grid.xs, indexing="ij")
+    full = float(np.maximum(surface.values - model.obstacle(tt, xx), 0.0).max())
+    assert full > 0.0
+    assert manifest["obstacle_violation_max"] == full
 
 
 def test_solve_viscosity_flags_kink(tmp_path, capsys):

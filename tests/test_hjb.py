@@ -440,3 +440,91 @@ def test_singular_implicit_system_raises_backward_error():
     grid = SpaceTimeGrid(1.0, 0.0, 3.0, 4, 3)
     with pytest.raises(BackwardSolverError, match="singular implicit system at time index 3"):
         solve_obstacle_hjb(m, grid, scheme="implicit")
+
+
+# ---------------------------------------------------------------------------
+# Explicit scheme and derivative tables: pinned bits
+# ---------------------------------------------------------------------------
+
+CLASSICAL_SMALL = SpaceTimeGrid(1.0, 0.1, 5.0, 200, 40)
+RANDOM_SMALL = SpaceTimeGrid(1.0, -3.0, 3.0, 100, 40)
+
+
+@pytest.mark.parametrize("make_model, grid, penalty, digest", [
+    (example_classical, CLASSICAL_SMALL, None,
+     "72dbb3146153766d286d581d49d638475144448358b20c6aef6779c9e72be0d2"),
+    # the barrier never binds here, so the soft resolve leaves every bit
+    (example_classical, CLASSICAL_SMALL, 50.0,
+     "72dbb3146153766d286d581d49d638475144448358b20c6aef6779c9e72be0d2"),
+    (lambda: random_lipschitz_model(3), RANDOM_SMALL, None,
+     "0a079ab201c52485fc7c1963f1d3cdc8fffd6c9969a02f54926e6a16e3d476b0"),
+    # reflection is active: the penalized surface moves by about 0.03
+    (lambda: random_lipschitz_model(3), RANDOM_SMALL, 50.0,
+     "1d452eca95ba353268a4be06f7cb2dc64c2890e4efd5e948a961d1e180e8c2db"),
+    (lambda: random_lipschitz_model(5), RANDOM_SMALL, None,
+     "9e9d9b01be7d0cbd02441b54d83dba8c15d9a59dca4c92c0ac85344e7c7d6452"),
+], ids=["classical", "classical-penalty", "random-3", "random-3-penalty", "random-5"])
+def test_explicit_values_pinned(make_model, grid, penalty, digest):
+    # sha256 of the float64 values of the explicit scheme as it evaluated
+    # the model on a state row against a control column; the prebuilt
+    # (controls x states) tables and in-place assembly keep every bit
+    surface = solve_obstacle_hjb(make_model(), grid, penalty_level=penalty)
+    assert hashlib.sha256(surface.values.tobytes()).hexdigest() == digest
+
+
+def aliasing_model():
+    """Diffusion returns its state argument and the driver its z argument,
+    so any kernel buffer handed to or taken from the model shows."""
+    return dataclasses.replace(example_classical(), name="aliasing",
+                               drift=lambda r, x, u: 0.5 * x - u,
+                               diffusion=lambda r, x, u: x,
+                               driver=lambda r, x, y, z, u: z)
+
+
+@pytest.mark.parametrize("scheme, digest", [
+    ("explicit", "962290a988a3a69dab67a33d0120ea7fb7244b199c26ce7ee402f9835884967b"),
+    ("implicit", "cc8f59e1eed5a6dcc086f36bad08029176a60adfc6b8364585593249c9253ac2"),
+])
+def test_model_returning_its_arguments_keeps_values(scheme, digest):
+    surface = solve_obstacle_hjb(aliasing_model(), SpaceTimeGrid(1.0, 0.1, 2.0, 100, 20),
+                                 scheme=scheme)
+    assert hashlib.sha256(surface.values.tobytes()).hexdigest() == digest
+
+
+def _stacked(rows_of, steps):
+    rows = [rows_of(i) for i in range(steps + 1)]
+    return tuple(np.stack([r[k] for r in rows]) for k in range(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
+    lambda: solve_obstacle_hjb(example_viscosity(), SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40),
+                               scheme="implicit"),
+    lambda: solve_obstacle_hjb(example_classical(), CLASSICAL_SMALL),
+], ids=["candidate-viscosity", "computed-kinked", "computed-classical"])
+def test_derivative_tables_equal_stacked_rows(make):
+    surface = make()
+    steps = surface.grid.t_steps
+    for tables, rows in ((surface.derivative_tables(), _stacked(surface.derivative_rows, steps)),
+                         (surface.expansion_tables(), _stacked(surface.expansion_rows, steps))):
+        for got, ref in zip(tables, rows):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_kinked_derivative_tables_pinned():
+    # sha256 of (w_t, w_x, w_xx) as the per-row accessors computed them,
+    # NaN at the kink for the derivative tables, slope midpoint and zero
+    # curvature for the expansion tables
+    surface = candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40))
+    wt = "27a8b85ffe3a362af32942403c1e06ced73b81ce4a8f6a472e00f6c0d454bfe0"
+    for tables, digests in (
+            (surface.derivative_tables(),
+             (wt, "581d4ddc07ddef1311fe6da51cb9970677719e32e993f59c2e6f5b4d29e6857e",
+              "e3db46d4a7051e126895498c896415427b997b0a9c48f4cb2cfcb63b446bdfb1")),
+            (surface.expansion_tables(),
+             (wt, "885199c3991adf60ddf9fedaf52e036ecb352828b49eef6a5d347882eebed581",
+              "ba255fa8f3b9c85eebb85f6801bdfebb0c58923ea2cf827c4de6f519f8f200f3"))):
+        got = tuple(hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
+                    for t in tables)
+        assert got == digests

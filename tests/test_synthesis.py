@@ -5,7 +5,8 @@ import pytest
 
 from rfbsde import (ConfigError, OpenLoopControl, TimeGrid, cost_functional,
                     evaluate_feedback, extract_feedback)
-from rfbsde.hjb import SpaceTimeGrid, _hamiltonian_grid, solve_obstacle_hjb
+from rfbsde.hjb import (SpaceTimeGrid, _hamiltonian_grid, _state_control_tables,
+                        solve_obstacle_hjb)
 from rfbsde.model import ControlModel, ControlSet, example_classical, zero_model
 from rfbsde.synthesis import FeedbackLaw, check_law_regularity
 
@@ -59,8 +60,9 @@ def test_selector_attains_the_infimum(viscosity_surface, viscosity_model):
         for j in viscosity_surface.kink_columns:
             left, right = viscosity_surface.one_sided_slopes(i, j)
             wx[j], wxx[j] = 0.5 * (left + right), 0.0
-        rows = _hamiltonian_grid(viscosity_model, grid.times[i], grid.xs,
-                                 viscosity_surface.values[i], wx, wxx, u_grid)
+        rows = _hamiltonian_grid(viscosity_model, grid.times[i],
+                                 _state_control_tables(viscosity_model, grid.xs),
+                                 viscosity_surface.values[i], wx, wxx)
         chosen = law.table[i]
         idx = np.searchsorted(u_grid, chosen)
         attained = rows[idx, np.arange(rows.shape[1])]
