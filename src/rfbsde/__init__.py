@@ -11,8 +11,8 @@ from .simulate import (OpenLoopControl, PathEnsemble, TimeGrid,
 from .rbsde import (CostEstimate, RbsdeSolution, SolverConfig, cost_functional,
                     solve_penalized, solve_reflected, tree_oracle)
 from .hjb import (HamiltonianQuery, SpaceTimeGrid, ValueSurface,
-                  candidate_surface, hamiltonian, inf_hamiltonian, residual,
-                  solve_obstacle_hjb)
+                  candidate_surface, hamiltonian, hamiltonian_minima,
+                  inf_hamiltonian, residual, solve_obstacle_hjb)
 from .synthesis import (FeedbackLaw, LawRegularityReport, check_law_regularity,
                         evaluate_feedback, extract_feedback)
 from .verify import (InequalitySample, MembershipProbe, MembershipResult,

@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, RfbsdeError
-from .hjb import (SpaceTimeGrid, candidate_surface, residual,
+from .hjb import (SpaceTimeGrid, candidate_surface, hamiltonian_minima, residual,
                   solve_obstacle_hjb, write_grid_csv, write_surface_csv)
 from .model import ProbeGrid, build_model, validate_assumptions
 from .rbsde import SolverConfig, cost_functional, tree_oracle
@@ -146,6 +146,7 @@ class _Run:
         self.artifacts = []
         self.timings = {}
         self.extra = {}
+        self._writers = []
         self._t0 = time.time()
 
     @contextlib.contextmanager
@@ -162,7 +163,37 @@ class _Run:
         self.artifacts.append(str(p))
         return p
 
+    def write_behind(self, fn, *args):
+        """Start ``fn(*args)``, with the artifact's path among ``args``, in a
+        forked child and return; :meth:`join` waits for it.
+
+        The child inherits the arguments copy-on-write, so no table is
+        pickled or copied.  It only formats and writes, which takes no lock
+        another thread of the parent could hold at the fork.
+        """
+        import multiprocessing   # here: commands that start no writer skip the import
+        with self.stage("write_csv"):
+            proc = multiprocessing.get_context("fork").Process(target=fn, args=args)
+            proc.start()
+        self._writers.append((proc, next(a for a in args if isinstance(a, Path))))
+
+    def join(self):
+        """Wait for every writer :meth:`write_behind` started, timed as
+        ``write_csv``; a writer that failed is an ``OSError`` naming its
+        artifact and exit code."""
+        writers, self._writers = self._writers, []
+        if not writers:
+            return
+        with self.stage("write_csv"):
+            for proc, _ in writers:
+                proc.join()
+        failed = [f"{path} (writer exit code {proc.exitcode})"
+                  for proc, path in writers if proc.exitcode != 0]
+        if failed:
+            raise OSError(f"writing {', '.join(failed)} failed")
+
     def finish(self):
+        self.join()
         manifest = {
             "command": self.command,
             "config_sha256": _config_hash(self.cfg),
@@ -272,41 +303,53 @@ def _surface_for(cfg, model, choice):
 
 
 def cmd_solve(cfg):
+    """Solve the obstacle PDE; write the surface, residual and law CSVs.
+
+    Each CSV is written by a forked writer (:meth:`_Run.write_behind`) while
+    the parent computes the next table, so ``timings_s["write_csv"]`` is the
+    time the parent spent starting the writers and waiting for them, not
+    the time the writing took.  Every exit waits for the writers first.
+    """
     run = _Run(cfg, "solve")
-    model = _model_from(cfg)
-    grid = _pde_grid(cfg, model)
-    choice = _choice(cfg, "pde.surface", _SURFACES)
-    if choice == "candidate" and model.name not in _CANDIDATE_FOR:
-        raise ConfigError(f"no candidate surface for model '{model.name}'")
-    with run.stage("solve"):
-        surface = _surface_for(cfg, model, choice)
-    with run.stage("write_csv"):
-        write_surface_csv(surface, run.path("surface.csv"))
+    try:
+        model = _model_from(cfg)
+        grid = _pde_grid(cfg, model)
+        choice = _choice(cfg, "pde.surface", _SURFACES)
+        if choice == "candidate" and model.name not in _CANDIDATE_FOR:
+            raise ConfigError(f"no candidate surface for model '{model.name}'")
+        with run.stage("solve"):
+            surface = _surface_for(cfg, model, choice)
+        run.write_behind(write_surface_csv, surface, run.path("surface.csv"))
 
-    # each full-grid table is dropped once its CSV is written
-    with run.stage("residual"):
-        res = residual(surface, model)
-    with run.stage("write_csv"):
-        write_grid_csv(run.path("residual.csv"),
-                       ["residual field (NaN at edges and kink columns)"], grid, res)
-    finite = res[np.isfinite(res)]
-    run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
-    del res, finite
+        # one Hamiltonian pass serves the residual and the law; each table
+        # is dropped once its writer holds it
+        with run.stage("residual"):
+            minima = hamiltonian_minima(surface, model)
+            res = residual(surface, model, minima)
+        run.write_behind(write_grid_csv, run.path("residual.csv"),
+                         ["residual field (NaN at edges and kink columns)"], grid, res)
+        finite = res[np.isfinite(res)]
+        run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
+        del res, finite
 
-    with run.stage("law"):
-        law = extract_feedback(surface, model)
-    with run.stage("write_csv"):
-        write_law_csv(law, run.path("law.csv"))
-    del law
+        with run.stage("law"):
+            law = extract_feedback(surface, model, minima)
+        run.write_behind(write_law_csv, law, run.path("law.csv"))
+        del law, minima
 
-    # one time row at a time: the obstacle takes a scalar time, as in the solvers
-    xs = grid.xs
-    violation = float(np.max([
-        np.maximum(w - np.asarray(model.obstacle(t, xs), dtype=float), 0.0).max()
-        for t, w in zip(grid.times, surface.values)]))
-    run.extra["kink_columns"] = list(surface.kink_columns)
-    run.extra["obstacle_violation_max"] = violation
-    run.finish()
+        # one time row at a time: the obstacle takes a scalar time, as in the solvers
+        xs = grid.xs
+        violation = float(np.max([
+            np.maximum(w - np.asarray(model.obstacle(t, xs), dtype=float), 0.0).max()
+            for t, w in zip(grid.times, surface.values)]))
+        run.extra["kink_columns"] = list(surface.kink_columns)
+        run.extra["obstacle_violation_max"] = violation
+        run.finish()
+    except BaseException:
+        # wait for the writers; the error in flight, not theirs, is reported
+        with contextlib.suppress(OSError):
+            run.join()
+        raise
     print(f"surface: {surface.provenance}")
     print(f"residual max (interior): {run.extra['residual_max']:.6g}")
     print(f"obstacle violation max: {violation:.6g}")

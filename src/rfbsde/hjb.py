@@ -490,24 +490,49 @@ def _solve_policy_iteration(model, grid, penalty_level):
     return values, "scheme=implicit, boundary=extrap1"
 
 
-def residual(surface, model):
+def hamiltonian_minima(surface, model):
+    """(H_min, u_min) at every node of ``surface``: the grid minimum of the
+    Hamiltonian over controls and its canonical minimizer.
+
+    H is taken at the expansion triple of :meth:`ValueSurface.expansion_rows`,
+    which off the kink columns is the derivative triple.  Ties within
+    1e-12 * (1 + |minimum|) resolve to the smallest control on the grid, as
+    in :func:`inf_hamiltonian`.  :func:`residual` reads H_min and
+    ``extract_feedback`` u_min, so a caller needing both passes this pair to
+    each instead of evaluating the grid twice.
+    """
+    grid = surface.grid
+    u_grid = model.control_set.points()
+    wx, wxx = surface._space_derivatives(surface.values, True)
+    tables = _state_control_tables(model, grid.xs)
+    h = np.empty(tables[0].shape)
+    hmin = np.empty_like(surface.values)
+    umin = np.empty_like(surface.values)
+    for i, t in enumerate(grid.times):
+        _hamiltonian_grid(model, t, tables, surface.values[i], wx[i], wxx[i], h)
+        vmin = h.min(axis=0, out=hmin[i])
+        tol = 1e-12 * (1.0 + np.abs(vmin))
+        umin[i] = u_grid[np.argmax(h <= vmin + tol, axis=0)]
+    return hmin, umin
+
+
+def residual(surface, model, minima=None):
     """max{W - h, -W_t - inf_u H} at interior nodes; NaN elsewhere.
 
     For a valid solution the field is nonpositive up to discretization error,
-    with the PDE branch vanishing wherever the barrier is slack.
+    with the PDE branch vanishing wherever the barrier is slack.  ``minima``
+    is :func:`hamiltonian_minima` of this surface and model, when the caller
+    already holds it.
     """
     grid = surface.grid
+    hmin = (hamiltonian_minima(surface, model) if minima is None else minima)[0]
+    wt = _first_difference(surface.values, grid.dt, axis=0)
     out = np.full_like(surface.values, np.nan)
-    times, xs = grid.times, grid.xs
-    wt, wx, wxx = surface.derivative_tables()
-    tables = _state_control_tables(model, xs[1:-1])
-    h = np.empty(tables[0].shape)
+    times, xs = grid.times, grid.xs[1:-1]
     for i in range(1, grid.t_steps):
         w = surface.values[i, 1:-1]
-        _hamiltonian_grid(model, times[i], tables, w, wx[i, 1:-1], wxx[i, 1:-1], h)
-        barrier = np.asarray(model.obstacle(times[i], xs[1:-1]), dtype=float)
-        pde = -wt[i, 1:-1] - h.min(axis=0)
-        out[i, 1:-1] = np.maximum(w - barrier, pde)
+        barrier = np.asarray(model.obstacle(times[i], xs), dtype=float)
+        out[i, 1:-1] = np.maximum(w - barrier, -wt[i, 1:-1] - hmin[i, 1:-1])
     out[:, list(surface.kink_columns)] = np.nan
     return out
 

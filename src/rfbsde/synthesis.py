@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import _hamiltonian_grid, _state_control_tables, write_grid_csv
+from .hjb import hamiltonian_minima, write_grid_csv
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import simulate_closed_loop
 
@@ -55,27 +55,18 @@ class FeedbackLaw:
         return out if out.shape else float(out)
 
 
-def extract_feedback(surface, model):
+def extract_feedback(surface, model, minima=None):
     """Canonical Hamiltonian minimizer at every surface node.
 
     Ties within 1e-12 * (1 + |min|) resolve to the smallest control on the
-    grid, so the table is deterministic.
+    grid, so the table is deterministic.  ``minima`` is
+    :func:`hamiltonian_minima` of this surface and model, when the caller
+    already holds it.
     """
-    grid = surface.grid
-    u_grid = model.control_set.points()
-    table = np.empty_like(surface.values)
-    _, wx, wxx = surface.expansion_tables()
-    tables = _state_control_tables(model, grid.xs)
-    rows = np.empty(tables[0].shape)
-    for i, t in enumerate(grid.times):
-        _hamiltonian_grid(model, t, tables, surface.values[i], wx[i], wxx[i], rows)
-        vmin = rows.min(axis=0)
-        tol = 1e-12 * (1.0 + np.abs(vmin))
-        first = np.argmax(rows <= vmin + tol, axis=0)
-        table[i] = u_grid[first]
-    return FeedbackLaw(table=table, grid=grid, control_set=model.control_set,
+    _, table = hamiltonian_minima(surface, model) if minima is None else minima
+    return FeedbackLaw(table=table, grid=surface.grid, control_set=model.control_set,
                        provenance=f"extracted from {surface.provenance} "
-                                  f"({len(u_grid)} grid controls)")
+                                  f"({len(model.control_set.points())} grid controls)")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import rfbsde
 from rfbsde import SpaceTimeGrid, cli, solve_obstacle_hjb
 from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
                         load_config, main)
+from rfbsde.errors import BackwardSolverError
 from rfbsde.model import example_classical
 from rfbsde.rbsde import SolverConfig
 from rfbsde.verify import MembershipProbe, VerifyConfig
@@ -63,7 +65,69 @@ def test_solve_emits_artifacts_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["obstacle_violation_max"] == 0.0
-    assert set(manifest["timings_s"]) == {"solve", "residual", "law", "write_csv", "total"}
+    timings = manifest["timings_s"]
+    assert set(timings) == {"solve", "residual", "law", "write_csv", "total"}
+    # write_csv is the parent's share: starting the writers and waiting for them
+    assert 0.0 <= timings["write_csv"] <= timings["total"]
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_writer_failure_raises_oserror(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "write_grid_csv", broken)
+    with pytest.raises(OSError, match=r"residual\.csv \(writer exit code 1\)"):
+        main(["solve", "--out", str(tmp_path), *FAST_PDE])
+    assert not (tmp_path / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_error_joins_started_writer(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise BackwardSolverError("no residual")
+    monkeypatch.setattr(cli, "residual", failing)
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE])
+    assert code == 3
+    assert err.startswith("ERROR[numerical]: no residual")
+    assert multiprocessing.active_children() == []
+    # the surface writer had started and ran to the end: 4 comment lines,
+    # the state header and one row per time node
+    lines = (tmp_path / "surface.csv").read_text().split("\n")
+    assert len(lines) == 4 + 1 + 201 + 1 and lines[-1] == ""
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_solve_error_in_flight_outranks_failed_writer(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise OSError("disk full")
+
+    def failing(*args):
+        raise BackwardSolverError("no residual")
+    monkeypatch.setattr(cli, "write_surface_csv", broken)
+    monkeypatch.setattr(cli, "residual", failing)
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE])
+    assert code == 3
+    assert err.startswith("ERROR[numerical]: no residual")
+    assert multiprocessing.active_children() == []
+
+
+def test_piped_stdout_lines_printed_once(tmp_path):
+    # the paper bundle prints before the solve forks its writers: a child
+    # that inherited an unflushed stdout buffer would print those lines again
+    src = str(Path(rfbsde.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)     # block-buffered, as a pipe makes it
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfbsde.cli", "paper", "5.1", "--out", str(tmp_path),
+         "--set", "pde.t_steps=200", "--set", "pde.x_steps=40",
+         "--set", "mc.paths=500", "--set", "mc.steps=20"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "--- solve ---" in lines and "obstacle violation max: 0" in lines
+    assert len(lines) == len(set(lines))
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rfbsde import (BackwardSolverError, ConfigError, HamiltonianQuery,
-                    KinkColumnError, SpaceTimeGrid, StabilityError, hamiltonian,
-                    inf_hamiltonian, residual, solve_obstacle_hjb)
+                    KinkColumnError, SpaceTimeGrid, StabilityError, extract_feedback,
+                    hamiltonian, hamiltonian_minima, inf_hamiltonian, residual,
+                    solve_obstacle_hjb)
 from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
 from rfbsde.model import (ControlModel, ControlSet, example_classical, example_viscosity,
                           random_lipschitz_model)
@@ -527,4 +528,32 @@ def test_kinked_derivative_tables_pinned():
               "ba255fa8f3b9c85eebb85f6801bdfebb0c58923ea2cf827c4de6f519f8f200f3"))):
         got = tuple(hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
                     for t in tables)
+        assert got == digests
+
+
+@pytest.mark.parametrize("make_model, make_surface, digests", [
+    # reflection active, three grid controls
+    (lambda: random_lipschitz_model(3),
+     lambda m: solve_obstacle_hjb(m, RANDOM_SMALL, penalty_level=50.0),
+     ("f30c14075880eedefa6ebb0a2cae6b1f0dbaf07c53340a30e90010513bf953ad",
+      "eafd09ddcfb361310ef63e2dfb40116d5f30d5c52146d7412407f9a3d1e6a86f")),
+    (example_viscosity,
+     lambda m: candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
+     ("eee351de3e8c9f2d0d863ce3c8a2fcd327b55343da860d1459e9f6b1b2481a00",
+      "2969f0cfc5ba49482addb7ab3ff157c9c0eb4d29b1c5082b91b67c966e75eaf6")),
+    (example_viscosity,
+     lambda m: solve_obstacle_hjb(m, SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40), scheme="implicit"),
+     ("76ab97226030597dab689be8a56b752bb4fbd71509b995de58ff75ed6ce3416e",
+      "d2660b6998152418d0a4f1e56d3bd49a0799f2bd757b80ed26577959c233b9eb")),
+], ids=["random-3-penalty", "candidate-viscosity", "computed-kinked"])
+def test_residual_and_law_pinned(make_model, make_surface, digests):
+    # sha256 of the residual field and law table as separate passes over the
+    # derivative and expansion triples gave them; one shared pass
+    # (hamiltonian_minima) keeps every bit, the kink columns included
+    model = make_model()
+    surface = make_surface(model)
+    minima = hamiltonian_minima(surface, model)
+    for res, law in ((residual(surface, model), extract_feedback(surface, model)),
+                     (residual(surface, model, minima), extract_feedback(surface, model, minima))):
+        got = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (res, law.table))
         assert got == digests
