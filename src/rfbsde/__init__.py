@@ -10,16 +10,15 @@ from .simulate import (OpenLoopControl, PathEnsemble, TimeGrid,
                        simulate_closed_loop, simulate_paths)
 from .rbsde import (CostEstimate, RbsdeSolution, SolverConfig, cost_functional,
                     solve_penalized, solve_reflected, tree_oracle)
-from .hjb import (HamiltonianQuery, SpaceTimeGrid, ValueSurface,
-                  candidate_surface, hamiltonian, hamiltonian_minima,
-                  inf_hamiltonian, residual, solve_obstacle_hjb)
+from .hjb import (SpaceTimeGrid, ValueSurface, candidate_surface,
+                  hamiltonian_minima, inf_hamiltonian, residual,
+                  solve_obstacle_hjb)
 from .synthesis import (FeedbackLaw, LawRegularityReport, check_law_regularity,
                         evaluate_feedback, extract_feedback)
-from .verify import (InequalitySample, MembershipProbe, MembershipResult,
-                     SuperdiffCandidate, SurfaceRegularityReport,
-                     VerificationReport, VerifyConfig, build_control_battery,
-                     check_superdiff_membership, check_surface_regularity,
-                     check_viscosity_inequalities, tables_from_surface,
+from .verify import (MembershipProbe, MembershipResult, SuperdiffCandidate,
+                     SurfaceRegularityReport, VerificationReport, VerifyConfig,
+                     build_control_battery, check_superdiff_membership,
+                     check_surface_regularity, tables_from_surface,
                      verify_classical, verify_feedback_optimality,
                      verify_viscosity_conditions)
 

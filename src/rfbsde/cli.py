@@ -363,35 +363,35 @@ def cmd_cost(cfg):
     model = _model_from(cfg)
     mc = cfg["mc"]
     method = _choice(cfg, "cost.method", ("reflected", "feedback", "tree"))
-    # the feedback method takes its controls from the law, not from cost.control
-    u0 = _num(cfg, "cost.control") if method == "feedback" \
-        else _control(cfg, "cost.control", model)
+    # the feedback method takes its controls from the law: cost.control is
+    # not read, and the control field of cost.csv stays empty
+    u0 = None if method == "feedback" else _control(cfg, "cost.control", model)
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
-    t0 = time.time()
-    if method == "reflected":
-        grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
-        est = cost_functional(model, start_time, start_state,
-                              OpenLoopControl.constant(u0), grid,
-                              _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
-                              _solver_config(cfg))
-        value, stderr = est.value, est.stderr
-    elif method == "feedback":
-        surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
-        law = extract_feedback(surface, model)
-        grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
-        est = evaluate_feedback(model, law, start_time, start_state, grid,
-                                _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
-                                _solver_config(cfg), allow_irregular=True)
-        value, stderr = est.value, est.stderr
-    else:
-        value = tree_oracle(model, start_time, start_state,
-                            lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
-        stderr = 0.0
-    run.timings["cost"] = round(time.time() - t0, 3)
+    with run.stage("cost"):
+        if method == "reflected":
+            grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
+            est = cost_functional(model, start_time, start_state,
+                                  OpenLoopControl.constant(u0), grid,
+                                  _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
+                                  _solver_config(cfg))
+            value, stderr = est.value, est.stderr
+        elif method == "feedback":
+            surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
+            law = extract_feedback(surface, model)
+            grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
+            est = evaluate_feedback(model, law, start_time, start_state, grid,
+                                    _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
+                                    _solver_config(cfg), allow_irregular=True)
+            value, stderr = est.value, est.stderr
+        else:
+            value = tree_oracle(model, start_time, start_state,
+                                lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
+            stderr = 0.0
 
+    control = "" if u0 is None else repr(u0)
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"
-           f"{u0!r},{value!r},{stderr!r},{mc['seed']}\n")
+           f"{control},{value!r},{stderr!r},{mc['seed']}\n")
     with open(run.path("cost.csv"), "w") as fh:
         fh.write("model,method,start_time,start_state,control,value,stderr,seed\n")
         fh.write(row)

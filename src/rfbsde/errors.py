@@ -30,4 +30,4 @@ class StabilityError(RfbsdeError):
 
 
 class KinkColumnError(RfbsdeError):
-    """Second space derivative requested at a declared kink column."""
+    """A surface with declared kink columns handed to the classical route."""

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import ConfigError, EvaluationError, KinkColumnError, StabilityError, BackwardSolverError
+from .errors import ConfigError, EvaluationError, StabilityError, BackwardSolverError
 from .rbsde import _barrier_resolve
 
 _POLICY_SHIFT_TOL = 1e-9    # policy iteration stops below this relative shift
@@ -89,13 +89,15 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True)
 class ValueSurface:
-    """Value function samples on a space-time grid with derivative access.
+    """Value function samples on a space-time grid with derivative tables.
 
     ``exact_form`` is set for closed-form candidates imported from the
     catalog; when present, off-grid evaluation uses the form itself instead
     of bilinear interpolation.  ``kink_columns`` are state columns where the
-    surface is declared non-differentiable: the second space derivative is
-    refused there and callers fall back to one-sided slopes.
+    surface is declared non-differentiable: :meth:`expansion_tables` takes
+    the one-sided slope midpoint and zero curvature there, :func:`residual`
+    reports NaN there, and the classical verification route refuses the
+    surface.
     """
 
     grid: SpaceTimeGrid
@@ -130,68 +132,28 @@ class ValueSurface:
                + at * (1 - ax) * v[ti + 1, xi] + at * ax * v[ti + 1, xi + 1])
         return out if out.shape else float(out)
 
-    def derivative_rows(self, i):
-        """(w_t, w_x, w_xx) along the state axis at time index i.
-
-        Central differences at interior nodes, one-sided second-order at the
-        edges; kink columns are reported as NaN in the space derivatives.
-        """
-        return (self._time_row(i),) + self._space_derivatives(self.values[i], False)
-
-    def derivative_tables(self):
-        """:meth:`derivative_rows` at every time index, as whole-grid tables."""
-        return (_first_difference(self.values, self.grid.dt, axis=0),) \
-            + self._space_derivatives(self.values, False)
-
-    def derivatives(self, i, j):
-        """(w_t, w_x, w_xx) at one grid node; refuses kink columns."""
-        if j in self.kink_columns:
-            raise KinkColumnError(
-                f"state column {j} is a declared kink; use one_sided_slopes "
-                "and the superdifferential machinery instead")
-        wt, wx, wxx = self.derivative_rows(i)
-        return float(wt[j]), float(wx[j]), float(wxx[j])
-
-    def one_sided_slopes(self, i, j):
-        """(left, right) first differences at a node, for kink handling."""
-        left, right = _one_sided_slopes(self.values[i], j, self.grid.dx)
-        return float(left), float(right)
-
-    def expansion_rows(self, i):
-        """(w_t, w_x, w_xx) at time index i, total at kink columns.
-
-        At a declared kink the gradient slot takes the midpoint of the
-        one-sided slopes and the curvature slot zero.
-        """
-        return (self._time_row(i),) + self._space_derivatives(self.values[i], True)
-
     def expansion_tables(self):
-        """:meth:`expansion_rows` at every time index, as whole-grid tables."""
-        return (_first_difference(self.values, self.grid.dt, axis=0),) \
-            + self._space_derivatives(self.values, True)
+        """(w_t, w_x, w_xx) at every node, as whole-grid tables.
 
-    def _time_row(self, i):
-        """w_t at time index i, from the three-row window that holds its stencil."""
-        i = range(self.grid.t_steps + 1)[i]
-        lo = min(max(i - 1, 0), self.grid.t_steps - 2)
-        return _first_difference(self.values[lo:lo + 3], self.grid.dt, axis=0)[i - lo]
-
-    def _space_derivatives(self, w, expansion):
-        """(w_x, w_xx) of the value rows ``w`` (state along the last axis).
-
-        Kink columns are NaN, or with ``expansion`` the midpoint of the
-        one-sided slopes and zero curvature.
+        Central differences at interior nodes, one-sided second order at
+        the edges; at a declared kink column the gradient table takes the
+        midpoint of the one-sided slopes and the curvature table zero.
         """
-        dx = self.grid.dx
+        return (_first_difference(self.values, self.grid.dt, axis=0),) \
+            + self._space_derivatives(self.values)
+
+    def _space_derivatives(self, w):
+        """(w_x, w_xx) of the value rows ``w`` (state along the last axis),
+        with the kink-column rule of :meth:`expansion_tables`."""
+        dx, n = self.grid.dx, w.shape[-1]
         wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
         for j in self.kink_columns:
-            if expansion:
-                left, right = _one_sided_slopes(w, j, dx)
-                wx[..., j] = 0.5 * (left + right)
-                wxx[..., j] = 0.0
-            else:
-                wx[..., j] = np.nan
-                wxx[..., j] = np.nan
+            # one-sided slopes; an edge column has only the one inside
+            left = (w[..., j] - w[..., j - 1]) / dx if j > 0 \
+                else (w[..., j + 1] - w[..., j]) / dx
+            right = (w[..., j + 1] - w[..., j]) / dx if j < n - 1 else left
+            wx[..., j] = 0.5 * (left + right)
+            wxx[..., j] = 0.0
         return wx, wxx
 
 
@@ -214,25 +176,6 @@ def _second_difference(w, h):
     d[..., 0] = (2 * w[..., 0] - 5 * w[..., 1] + 4 * w[..., 2] - w[..., 3]) / h ** 2
     d[..., -1] = (2 * w[..., -1] - 5 * w[..., -2] + 4 * w[..., -3] - w[..., -4]) / h ** 2
     return d
-
-
-def _one_sided_slopes(w, j, h):
-    """(left, right) first differences at state column j of the rows ``w``;
-    at an edge column both take the one slope there is."""
-    n = w.shape[-1]
-    left = (w[..., j] - w[..., j - 1]) / h if j > 0 else (w[..., j + 1] - w[..., j]) / h
-    right = (w[..., j + 1] - w[..., j]) / h if j < n - 1 else left
-    return left, right
-
-
-@dataclass(frozen=True)
-class HamiltonianQuery:
-    time: float
-    state: float
-    value: float
-    gradient: float
-    curvature: float
-    control: float
 
 
 def coefficients(model, t, x, y, p, u, sig_b=None):
@@ -282,18 +225,6 @@ def _assemble(coef, p, pp, out=None):
     out += b * p
     out += f
     return out
-
-
-def hamiltonian(model, query):
-    """Generator-plus-driver value at one (time, state, expansion, control)."""
-    if not model.control_set.contains(query.control):
-        raise ConfigError(f"control {query.control} outside the control set")
-    coef = coefficients(model, query.time, query.state, query.value,
-                        query.gradient, query.control)
-    for tag, arr in zip(("diffusion", "drift", "driver"), coef):
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError(f"non-finite {tag} evaluation")
-    return float(_assemble(coef, query.gradient, query.curvature))
 
 
 def _hamiltonian_grid(model, t, tables, y, p, pp, out=None):
@@ -494,8 +425,8 @@ def hamiltonian_minima(surface, model):
     """(H_min, u_min) at every node of ``surface``: the grid minimum of the
     Hamiltonian over controls and its canonical minimizer.
 
-    H is taken at the expansion triple of :meth:`ValueSurface.expansion_rows`,
-    which off the kink columns is the derivative triple.  Ties within
+    H is taken at the gradient and curvature of
+    :meth:`ValueSurface.expansion_tables`.  Ties within
     1e-12 * (1 + |minimum|) resolve to the smallest control on the grid, as
     in :func:`inf_hamiltonian`.  :func:`residual` reads H_min and
     ``extract_feedback`` u_min, so a caller needing both passes this pair to
@@ -503,7 +434,7 @@ def hamiltonian_minima(surface, model):
     """
     grid = surface.grid
     u_grid = model.control_set.points()
-    wx, wxx = surface._space_derivatives(surface.values, True)
+    wx, wxx = surface._space_derivatives(surface.values)
     tables = _state_control_tables(model, grid.xs)
     h = np.empty(tables[0].shape)
     hmin = np.empty_like(surface.values)

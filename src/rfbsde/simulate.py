@@ -49,17 +49,14 @@ class TimeGrid:
 class OpenLoopControl:
     """Control applied on each interval [r_i, r_{i+1}).
 
-    Three flavours: a constant, a deterministic function of time, or a
-    per-path per-node table.  Tables are adapted by construction as long as
-    the node-i entry only uses noise up to node i; callers supplying tables
-    own that guarantee.  A constant is simulated from one shared column, so
-    its ensemble's ``controls`` is a read-only broadcast view, not a table.
+    Two flavours: a constant or a deterministic function of time.  A
+    constant is simulated from one shared column, so its ensemble's
+    ``controls`` is a read-only broadcast view, not a table.
     """
 
     kind: str
     value: float = 0.0
     fn: Optional[Callable] = None
-    table: Optional[np.ndarray] = None
 
     @classmethod
     def constant(cls, value):
@@ -69,30 +66,14 @@ class OpenLoopControl:
     def from_function(cls, fn):
         return cls(kind="time", fn=fn)
 
-    @classmethod
-    def from_table(cls, table):
-        arr = np.asarray(table, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigError("control table must be (paths, steps)")
-        return cls(kind="table", table=arr)
-
-    def values_at(self, i, t, n_paths):
+    def values_at(self, t, n_paths):
         if self.kind == "constant":
             return np.full(n_paths, self.value)
-        if self.kind == "time":
-            return np.full(n_paths, float(self.fn(t)))
-        return self.table[:, i]
+        return np.full(n_paths, float(self.fn(t)))
 
-    def all_values(self, grid, n_paths):
+    def all_values(self, grid):
         """Every value the control will take on this grid (admissibility sweep)."""
-        if self.kind == "table":
-            if self.table.shape != (n_paths, grid.steps):
-                raise ConfigError(
-                    f"control table shape {self.table.shape} does not match "
-                    f"({n_paths}, {grid.steps})")
-            return self.table
-        return np.array([self.values_at(i, t, 1)[0]
-                         for i, t in enumerate(grid.nodes[:-1])])
+        return np.array([self.values_at(t, 1)[0] for t in grid.nodes[:-1]])
 
 
 @dataclass(frozen=True)
@@ -184,15 +165,15 @@ def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed)
     are rejected before any path is generated.  A constant control is one
     shared column, recorded as a read-only broadcast over the steps.
     """
-    if not model.control_set.contains(control.all_values(grid, n_paths)):
+    if not model.control_set.contains(control.all_values(grid)):
         raise SimulationError("control takes values outside the control set")
     if control.kind == "constant":
-        column = control.values_at(0, grid.start, n_paths)
+        column = control.values_at(grid.start, n_paths)
         controls = np.broadcast_to(column[:, None], (n_paths, grid.steps))
         return _euler(model, start_time, start_state, grid, n_paths, seed,
                       lambda i, t, x: column, controls)
     return _euler(model, start_time, start_state, grid, n_paths, seed,
-                  lambda i, t, x: control.values_at(i, t, n_paths))
+                  lambda i, t, x: control.values_at(t, n_paths))
 
 
 def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, seed):

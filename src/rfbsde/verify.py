@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, KinkColumnError
-from .hjb import coefficients, inf_hamiltonian
+from .hjb import _assemble, coefficients, inf_hamiltonian
 from .rbsde import SolverConfig, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback
@@ -39,7 +39,6 @@ _PROBE_LEVELS = 9            # radius halvings per probe
 _PROBE_SAMPLES = 64          # sampled points per radius
 _ZERO_TOL = 1e-12            # integral-optimality slack taken as zero
 _POINTWISE_TOL = 1e-8        # relative slack of the pointwise lower inequality
-_INEQUALITY_TOL = 1e-9       # relative slack of the viscosity inequalities
 _INCONCLUSIVE_QUOTA = 0.25   # largest inconclusive share of a passing sample
 
 # ---------------------------------------------------------------------------
@@ -440,12 +439,12 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         x = ensemble.states[:, i]
         u = ensemble.controls[:, i]
         q, p, pp = candidate_triple(s, x)
-        sig, b, f = coefficients(model, s, x, sol.value[:, i], p, u)
+        coef = coefficients(model, s, x, sol.value[:, i], p, u)
         z = sol.slope[:, i]
-        diff = p * sig - z
+        diff = p * coef[0] - z
         num += float(np.sum(diff * diff)) * dt
         den += float(np.sum(z * z)) * dt
-        integrals += (q + 0.5 * sig * sig * pp + p * b + f) * dt
+        integrals += (q + _assemble(coef, p, pp)) * dt
     if num == 0.0:
         z_slack = 0.0
     else:
@@ -636,54 +635,3 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
     return VerificationReport(theorem="feedback-optimality",
                               conditions=(cond_pt,) + closed,
                               fingerprint=fp)
-
-
-# ---------------------------------------------------------------------------
-# Differential-inequality characterization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InequalitySample:
-    t: float
-    x: float
-    triple: tuple            # (time_slope, gradient, curvature)
-    tag: str                 # "super" | "sub"
-    validated: bool = False
-
-
-def check_viscosity_inequalities(surface, model, samples):
-    """Evaluate max{W - h, -q - inf_u H} at membership-validated samples.
-
-    Super-tagged samples must give a nonpositive value, sub-tagged ones a
-    nonnegative value, both up to ``_INEQUALITY_TOL`` scaled by the local
-    magnitude.
-    """
-    records = []
-    for smp in samples:
-        if not smp.validated:
-            raise ConfigError(
-                f"sample at ({smp.t}, {smp.x}) lacks membership validation")
-        if smp.tag not in ("super", "sub"):
-            raise ConfigError(f"bad tag {smp.tag!r}")
-        w = float(np.asarray(surface.value_at(smp.t, smp.x)))
-        barrier = float(np.asarray(model.obstacle(smp.t, smp.x), dtype=float))
-        q, p, pp = smp.triple
-        inf_val, _ = inf_hamiltonian(model, smp.t, smp.x, w, p, pp)
-        expr = max(w - barrier, -q - inf_val)
-        scale = 1.0 + abs(w) + abs(barrier)
-        tol = _INEQUALITY_TOL * scale
-        if smp.tag == "super":
-            ok = expr <= tol
-            slack = expr
-        else:
-            ok = expr >= -tol
-            slack = -expr
-        records.append(ConditionRecord(
-            name=f"{smp.tag}@({smp.t:.4g},{smp.x:.4g})",
-            slack=slack, tolerance=tol,
-            status="pass" if ok else "fail",
-            detail=f"expression {expr:.6g}"))
-    fp = _fingerprint({"theorem": "inequalities",
-                       "points": [(s.t, s.x, s.tag) for s in samples]})
-    return VerificationReport(theorem="viscosity-inequalities",
-                              conditions=tuple(records), fingerprint=fp)

@@ -383,13 +383,13 @@ VISCOSITY_COST = [*VISCOSITY_BOX, "--set", "mc.start_state=-0.5",
 
 @pytest.mark.parametrize("extra, method, digest", [
     ([], "reflected", "323e9c6a113c8d118e040958c298b157e96e63574dcc5489a939ba7127af17a1"),
-    ([], "feedback", "a633d9de99a1c59fc9f6c06c824b6f0da2212e357825b5db0b16f69ca1fc2e10"),
+    ([], "feedback", "64015cc0d9a88592b268a3b4ee7568202004679baee0a6a0eeb8ce2d4967a570"),
     ([], "tree", "eb16caa989996228c9a6588bb175c1942499fd2993c0d52588f69a023e6c7219"),
     # off the obstacle cap, so the value itself is pinned, not only e^2
     (VISCOSITY_COST, "reflected",
      "e82d265b3461d077fddc71aa4893ca0bf02db2ffc16dfb5c08cfcb9df7b7be25"),
     (VISCOSITY_COST, "feedback",
-     "d7c2330faedc18e83591ee3af6a0116dcfe1ea41965eec095e8de0c14017c09e"),
+     "f1ffa89c36efd0ba6aa1dbc9cd1321db376718709b60cea31b7bd63295b742ed"),
     (VISCOSITY_COST, "tree",
      "32227399a15f2253033ca5ab2447000eee0a68d4da0f621b1e15b7470ddd0c31"),
 ], ids=["classical-reflected", "classical-feedback", "classical-tree",

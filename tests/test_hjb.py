@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rfbsde import (BackwardSolverError, ConfigError, HamiltonianQuery,
-                    KinkColumnError, SpaceTimeGrid, StabilityError, extract_feedback,
-                    hamiltonian, hamiltonian_minima, inf_hamiltonian, residual,
+from rfbsde import (BackwardSolverError, ConfigError, SpaceTimeGrid, StabilityError,
+                    extract_feedback, hamiltonian_minima, inf_hamiltonian, residual,
                     solve_obstacle_hjb)
 from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
 from rfbsde.model import (ControlModel, ControlSet, example_classical, example_viscosity,
@@ -32,37 +31,36 @@ def u_free_model():
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
+def at_control(model, u):
+    """``model`` on the one-point control set {u}: its grid infimum is H at u."""
+    return dataclasses.replace(model, control_set=ControlSet.interval(u, u, 1))
+
+
 def test_hamiltonian_classical_substitution(classical_model):
-    q = HamiltonianQuery(time=0.0, state=1.0, value=2.0, gradient=3.0,
-                         curvature=4.0, control=0.0)
+    value, argmins = inf_hamiltonian(at_control(classical_model, 0.0),
+                                     0.0, 1.0, 2.0, 3.0, 4.0)
     # (1/2)*1*4 + (1+0)*3 + (2+0)
-    assert hamiltonian(classical_model, q) == pytest.approx(7.0)
+    assert value == pytest.approx(7.0)
+    assert list(argmins) == [0.0]
 
 
 def test_hamiltonian_zero_query(viscosity_model):
-    q = HamiltonianQuery(0.0, 0.0, 0.0, 0.0, 0.0, control=1.0)
-    assert hamiltonian(viscosity_model, q) == 0.0
+    value, _ = inf_hamiltonian(at_control(viscosity_model, 1.0), 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert value == 0.0
 
 
 def test_hamiltonian_viscosity_substitution(viscosity_model):
-    q = HamiltonianQuery(time=0.0, state=1.0, value=-2.0, gradient=1.0,
-                         curvature=0.0, control=2.0)
+    value, _ = inf_hamiltonian(at_control(viscosity_model, 2.0), 0.0, 1.0, -2.0, 1.0, 0.0)
     # 0 + 1*2 + (-|-2|)
-    assert hamiltonian(viscosity_model, q) == pytest.approx(0.0)
-
-
-def test_hamiltonian_rejects_outside_control(classical_model):
-    q = HamiltonianQuery(0.0, 1.0, 0.0, 0.0, 0.0, control=5.0)
-    with pytest.raises(ConfigError):
-        hamiltonian(classical_model, q)
+    assert value == pytest.approx(0.0)
 
 
 def test_inf_hamiltonian_classical_positive_slope(classical_model):
     p = math.exp(2.0 * (1.0 - 0.3))
     value, argmins = inf_hamiltonian(classical_model, 0.3, 1.0, 1.0, p, 0.0)
     assert list(argmins) == [0.0]
-    q0 = HamiltonianQuery(0.3, 1.0, 1.0, p, 0.0, 0.0)
-    assert value == pytest.approx(hamiltonian(classical_model, q0))
+    at_zero, _ = inf_hamiltonian(at_control(classical_model, 0.0), 0.3, 1.0, 1.0, p, 0.0)
+    assert value == pytest.approx(at_zero)
 
 
 def test_inf_hamiltonian_tie_on_u_free_model():
@@ -256,24 +254,23 @@ def test_derivative_accessor_matches_closed_form():
                          t_steps=200, x_steps=100)
     cand = candidate_surface("candidate-classical", grid)
     i, j = 100, 50
-    wt, wx, wxx = cand.derivatives(i, j)
+    wt, wx, wxx = (float(table[i, j]) for table in cand.expansion_tables())
     t, x = grid.times[i], grid.xs[j]
     assert wt == pytest.approx(-2.0 * x * math.exp(2.0 * (1.0 - t)), rel=1e-3)
     assert wx == pytest.approx(math.exp(2.0 * (1.0 - t)), rel=1e-9)
     assert abs(wxx) < 1e-9
 
 
-def test_kink_column_refused_and_one_sided_slopes():
+def test_kink_column_takes_slope_midpoint():
     grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
                          t_steps=50, x_steps=40)
     cand = candidate_surface("candidate-viscosity", grid)
     (kink,) = cand.kink_columns
-    with pytest.raises(KinkColumnError):
-        cand.derivatives(10, kink)
-    left, right = cand.one_sided_slopes(10, kink)
+    _, wx, wxx = cand.expansion_tables()
     t = grid.times[10]
-    assert left == pytest.approx(math.exp(3.0 * (1.0 - t)), rel=1e-6)
-    assert right == pytest.approx(1.0)
+    # left slope e^{3(1-t)} (the grown branch), right slope 1
+    assert wx[10, kink] == pytest.approx(0.5 * (math.exp(3.0 * (1.0 - t)) + 1.0), rel=1e-6)
+    assert np.all(wxx[:, kink] == 0.0)
 
 
 def test_surface_csv_deterministic(tmp_path, zero_surface):
@@ -285,10 +282,9 @@ def test_surface_csv_deterministic(tmp_path, zero_surface):
 
 
 def test_product_control_set_refused():
-    # a product control set is refused when it is built, so neither
-    # hamiltonian nor inf_hamiltonian can be handed one
+    # a product control set is refused when it is built, so
+    # inf_hamiltonian cannot be handed one
     m = example_classical()
-    q = HamiltonianQuery(0.0, 1.0, 1.0, 1.0, 0.0, control=0.0)
 
     def product_model():
         return ControlModel(
@@ -297,8 +293,6 @@ def test_product_control_set_refused():
             control_set=ControlSet(lo=(0.0, 0.0), hi=(1.0, 1.0), grid_points=2),
             horizon=1.0)
 
-    with pytest.raises(ConfigError, match="only one control coordinate is supported"):
-        hamiltonian(product_model(), q)
     with pytest.raises(ConfigError, match="only one control coordinate is supported"):
         inf_hamiltonian(product_model(), 0.0, 1.0, 1.0, 1.0, 0.0)
 
@@ -492,42 +486,27 @@ def test_model_returning_its_arguments_keeps_values(scheme, digest):
     assert hashlib.sha256(surface.values.tobytes()).hexdigest() == digest
 
 
-def _stacked(rows_of, steps):
-    rows = [rows_of(i) for i in range(steps + 1)]
-    return tuple(np.stack([r[k] for r in rows]) for k in range(3))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
-    lambda: solve_obstacle_hjb(example_viscosity(), SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40),
-                               scheme="implicit"),
-    lambda: solve_obstacle_hjb(example_classical(), CLASSICAL_SMALL),
-], ids=["candidate-viscosity", "computed-kinked", "computed-classical"])
-def test_derivative_tables_equal_stacked_rows(make):
-    surface = make()
-    steps = surface.grid.t_steps
-    for tables, rows in ((surface.derivative_tables(), _stacked(surface.derivative_rows, steps)),
-                         (surface.expansion_tables(), _stacked(surface.expansion_rows, steps))):
-        for got, ref in zip(tables, rows):
-            assert got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-
-
 def test_kinked_derivative_tables_pinned():
-    # sha256 of (w_t, w_x, w_xx) as the per-row accessors computed them,
-    # NaN at the kink for the derivative tables, slope midpoint and zero
-    # curvature for the expansion tables
-    surface = candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40))
-    wt = "27a8b85ffe3a362af32942403c1e06ced73b81ce4a8f6a472e00f6c0d454bfe0"
-    for tables, digests in (
-            (surface.derivative_tables(),
-             (wt, "581d4ddc07ddef1311fe6da51cb9970677719e32e993f59c2e6f5b4d29e6857e",
-              "e3db46d4a7051e126895498c896415427b997b0a9c48f4cb2cfcb63b446bdfb1")),
-            (surface.expansion_tables(),
-             (wt, "885199c3991adf60ddf9fedaf52e036ecb352828b49eef6a5d347882eebed581",
-              "ba255fa8f3b9c85eebb85f6801bdfebb0c58923ea2cf827c4de6f519f8f200f3"))):
+    # sha256 of the (w_t, w_x, w_xx) expansion tables of a kinked candidate,
+    # a kinked policy-iteration surface and a smooth explicit one; kink
+    # columns take the slope midpoint and zero curvature
+    cases = (
+        (candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
+         ("27a8b85ffe3a362af32942403c1e06ced73b81ce4a8f6a472e00f6c0d454bfe0",
+          "885199c3991adf60ddf9fedaf52e036ecb352828b49eef6a5d347882eebed581",
+          "ba255fa8f3b9c85eebb85f6801bdfebb0c58923ea2cf827c4de6f519f8f200f3")),
+        (solve_obstacle_hjb(example_viscosity(), SpaceTimeGrid(1.0, -5.0, 5.0, 200, 40),
+                            scheme="implicit"),
+         ("0d6ed389eda3bcbe3c6b725aad067a658ce45ac0fa29a642767dedd787205568",
+          "b687091faf662a156fe83a093a6eb863fc1c392dd91e3a2e6ca58c52cc888c83",
+          "ff9d55cc572e2cbbdbe13261a5bc21e0f4157ee89ddbec936ae4f92c266363ac")),
+        (solve_obstacle_hjb(example_classical(), CLASSICAL_SMALL),
+         ("cca49f6308eb1489929d15b64989cf0ab370b54e6f6c98ec2732f5df7416c7b3",
+          "d11b1e8fb3acc9b5ab7361a6bf198c79ec81b86ee30ce7a0fb28d6aba4b4a15f",
+          "7126cbebdb89fac5b588f43a5a689330a2a539ed6f04bde3cb480da5a10b071f")))
+    for surface, digests in cases:
         got = tuple(hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
-                    for t in tables)
+                    for t in surface.expansion_tables())
         assert got == digests
 
 

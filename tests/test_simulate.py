@@ -143,13 +143,6 @@ def test_control_outside_set_rejected(classical_model):
                        TimeGrid(0.0, 1.0, 10), 10, seed=0)
 
 
-def test_control_table_shape_checked(classical_model):
-    table = np.zeros((5, 9))
-    with pytest.raises(Exception):
-        simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.from_table(table),
-                       TimeGrid(0.0, 1.0, 10), 5, seed=0)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_state_aborts():
     blower = ControlModel(

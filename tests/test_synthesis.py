@@ -55,14 +55,11 @@ def test_selector_attains_the_infimum(viscosity_surface, viscosity_model):
     law = extract_feedback(viscosity_surface, viscosity_model)
     grid = viscosity_surface.grid
     u_grid = viscosity_model.control_set.points()
+    _, wx, wxx = viscosity_surface.expansion_tables()
     for i in (0, grid.t_steps // 2):
-        _, wx, wxx = viscosity_surface.derivative_rows(i)
-        for j in viscosity_surface.kink_columns:
-            left, right = viscosity_surface.one_sided_slopes(i, j)
-            wx[j], wxx[j] = 0.5 * (left + right), 0.0
         rows = _hamiltonian_grid(viscosity_model, grid.times[i],
                                  _state_control_tables(viscosity_model, grid.xs),
-                                 viscosity_surface.values[i], wx, wxx)
+                                 viscosity_surface.values[i], wx[i], wxx[i])
         chosen = law.table[i]
         idx = np.searchsorted(u_grid, chosen)
         attained = rows[idx, np.arange(rows.shape[1])]

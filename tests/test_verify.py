@@ -6,13 +6,13 @@ import pytest
 
 from rfbsde import (ConfigError, KinkColumnError, OpenLoopControl,
                     check_superdiff_membership, check_surface_regularity,
-                    check_viscosity_inequalities, verify_classical,
-                    verify_feedback_optimality, verify_viscosity_conditions)
+                    verify_classical, verify_feedback_optimality,
+                    verify_viscosity_conditions)
 from rfbsde import verify
 from rfbsde.hjb import SpaceTimeGrid, candidate_surface, solve_obstacle_hjb
 from rfbsde.model import example_classical, example_viscosity, zero_model
 from rfbsde.synthesis import FeedbackLaw, extract_feedback
-from rfbsde.verify import (InequalitySample, MembershipProbe, MembershipResult,
+from rfbsde.verify import (MembershipProbe, MembershipResult,
                            SuperdiffCandidate, VerifyConfig,
                            build_control_battery, tables_from_surface)
 
@@ -401,8 +401,9 @@ def test_feedback_optimality_wrong_law_fails_integral(classical_candidate,
 def test_tables_from_surface_reads_expansion_rows(viscosity_candidate):
     grid = viscosity_candidate.grid
     triple = tables_from_surface(viscosity_candidate)
+    tables = viscosity_candidate.expansion_tables()
     for i in (0, 37, grid.t_steps):
-        rows = viscosity_candidate.expansion_rows(i)
+        rows = [table[i] for table in tables]
         # at a grid node the lookup returns that node, kink column included
         for j in (0, 50, 63, grid.x_steps):
             got = triple(grid.times[i], grid.xs[j])
@@ -411,35 +412,3 @@ def test_tables_from_surface_reads_expansion_rows(viscosity_candidate):
         xs = grid.xs + 0.3 * grid.dx
         for got, r in zip(triple(grid.times[i] + 0.3 * grid.dt, xs), rows):
             assert np.array_equal(got, r)
-
-
-# ---------------------------------------------------------------------------
-# Differential-inequality checker
-# ---------------------------------------------------------------------------
-
-def test_inequalities_kink_and_smooth(viscosity_candidate):
-    model = example_viscosity()
-    samples = [
-        InequalitySample(t=0.3, x=0.0, triple=(0.0, 1.0, 0.0), tag="super",
-                         validated=True),
-        InequalitySample(t=0.3, x=0.5, triple=(0.0, 1.0, 0.0), tag="super",
-                         validated=True),
-    ]
-    report = check_viscosity_inequalities(viscosity_candidate, model, samples)
-    assert report.passed
-
-
-def test_inequalities_zero_model(zero_surface):
-    model, surface = zero_surface
-    samples = [InequalitySample(t=0.2, x=0.0, triple=(0.0, 0.0, 0.0),
-                                tag="super", validated=True)]
-    report = check_viscosity_inequalities(surface, model, samples)
-    assert report.passed
-
-
-def test_inequalities_reject_unvalidated(viscosity_candidate):
-    model = example_viscosity()
-    with pytest.raises(ConfigError):
-        check_viscosity_inequalities(
-            viscosity_candidate, model,
-            [InequalitySample(0.3, 0.0, (0.0, 1.0, 0.0), "super")])
