@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import ConfigError, RfbsdeError
@@ -114,8 +113,12 @@ def _apply_overrides(cfg, pairs, prefix=""):
 def load_config(path, sets=None, tols=None, seed=None, out=None, base=None):
     cfg = copy.deepcopy(DEFAULTS if base is None else base)
     if path is not None:
+        import yaml   # here: runs without a config file skip the import
         with open(path) as fh:
-            user = yaml.safe_load(fh) or {}
+            try:
+                user = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(str(exc)) from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a mapping")
         cfg = _merge(cfg, user)
@@ -375,7 +378,6 @@ def cmd_cost(cfg):
                                   OpenLoopControl.constant(u0), grid,
                                   _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                   _solver_config(cfg))
-            value, stderr = est.value, est.stderr
         elif method == "feedback":
             surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
             law = extract_feedback(surface, model)
@@ -383,11 +385,13 @@ def cmd_cost(cfg):
             est = evaluate_feedback(model, law, start_time, start_state, grid,
                                     _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                     _solver_config(cfg), allow_irregular=True)
-            value, stderr = est.value, est.stderr
         else:
             value = tree_oracle(model, start_time, start_state,
                                 lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
             stderr = 0.0
+    if method != "tree":
+        value, stderr = est.value, est.stderr
+        run.extra["diagnostics"] = est.solution.diagnostics
 
     control = "" if u0 is None else repr(u0)
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"
@@ -561,7 +565,7 @@ def main(argv=None):
         if args.command == "assumptions":
             return cmd_assumptions(cfg)
         return cmd_paper(cfg, args.example_id)
-    except (ConfigError, yaml.YAMLError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"ERROR[config]: {exc}", file=sys.stderr)
         return 2
     except RfbsdeError as exc:

@@ -20,12 +20,12 @@ strict mode is selected, in which case the solver refuses and reports the
 required step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, EvaluationError, StabilityError, BackwardSolverError
 from .rbsde import _barrier_resolve
@@ -343,7 +343,17 @@ def _solve_explicit(model, grid, cfl, penalty_level):
     return values, f"scheme=explicit, substeps={substeps}, boundary=extrap2"
 
 
-_GBSV, = get_lapack_funcs(("gbsv",), (np.empty(0),))
+@functools.cache
+def _gbsv():
+    """scipy's LAPACK ``gbsv`` for float64, looked up on the first call.
+
+    Only the implicit scheme solves banded systems, so scipy is imported
+    here rather than with the module: commands that never run that scheme
+    never load it.
+    """
+    from scipy.linalg import get_lapack_funcs
+    gbsv, = get_lapack_funcs(("gbsv",), (np.empty(0),))
+    return gbsv
 
 
 def solve_banded(work, rhs):
@@ -354,7 +364,7 @@ def solve_banded(work, rhs):
     holding the factors.  ``rhs`` comes back holding the solution.
     Returns ``(solution, info)``; a positive ``info`` means singular.
     """
-    _, _, x, info = _GBSV(2, 2, work, rhs, overwrite_ab=True, overwrite_b=True)
+    _, _, x, info = _gbsv()(2, 2, work, rhs, overwrite_ab=True, overwrite_b=True)
     return x, info
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .hjb import hamiltonian_minima, write_grid_csv
 from .rbsde import SolverConfig, _node0_estimate
-from .simulate import simulate_closed_loop
+from .simulate import OpenLoopControl, simulate_closed_loop, simulate_paths
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,23 @@ def evaluate_feedback(model, law, start_time, start_state, grid, n_paths, seed,
             "feedback law fails the regularity check "
             f"(worst jump {report.worst_jump:.3g}); pass allow_irregular=True "
             "to evaluate anyway")
-    ensemble = simulate_closed_loop(model, law, start_time, start_state, grid,
-                                    n_paths, seed)
+    ensemble = simulate_law(model, law, start_time, start_state, grid, n_paths, seed)
     return _node0_estimate(model, ensemble, config)
+
+
+def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
+    """Euler paths under a feedback law.
+
+    A constant law runs as the open-loop constant control it equals: the
+    same paths, with one shared control column instead of a per-path
+    table.  A tabled law runs in closed loop.
+    """
+    if law.table is None:
+        control = OpenLoopControl.constant(law.control_set.clip(law.value))
+        return simulate_paths(model, start_time, start_state, control, grid,
+                              n_paths, seed)
+    return simulate_closed_loop(model, law, start_time, start_state, grid,
+                                n_paths, seed)
 
 
 def write_law_csv(law, path):

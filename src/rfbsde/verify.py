@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ConfigError, KinkColumnError
 from .hjb import _assemble, coefficients, inf_hamiltonian
 from .rbsde import SolverConfig, cost_functional, solve_reflected
-from .simulate import OpenLoopControl, TimeGrid, simulate_closed_loop, simulate_paths
-from .synthesis import check_law_regularity, evaluate_feedback
+from .simulate import OpenLoopControl, TimeGrid, simulate_paths
+from .synthesis import check_law_regularity, evaluate_feedback, simulate_law
 
 _PROBE_MAX_RADIUS = 0.1      # largest time radius of a membership probe
 _PROBE_LEVELS = 9            # radius halvings per probe
@@ -93,6 +93,7 @@ class VerificationReport:
                 {"name": c.name, "slack": c.slack, "tolerance": c.tolerance,
                  "status": c.status, "detail": c.detail}
                 for c in self.conditions],
+            "extras": self.extras,
         }
 
 
@@ -285,16 +286,17 @@ def _battery_condition(model, w0, start_time, start_state, battery, grid,
                        config, name):
     """Surface value w0 against every battery cost, within noise plus budget.
 
-    Returns the condition record and the per-control (label, value, stderr,
-    slack) rows.
+    Returns the condition record and one row per control: its label, cost
+    estimate, standard error and slack.
     """
     worst = (-math.inf, "")
     details = []
     for k, (label, control) in enumerate(battery):
         est = cost_functional(model, start_time, start_state, control, grid,
                               config.n_paths, config.seed + 13 * k, config.solver)
-        slack = w0 - est.value - 3.0 * est.stderr - config.bias_budget
-        details.append((label, est.value, est.stderr, slack))
+        slack = float(w0 - est.value - 3.0 * est.stderr - config.bias_budget)
+        details.append({"control": label, "value": float(est.value),
+                        "stderr": float(est.stderr), "slack": slack})
         if slack > worst[0]:
             worst = (slack, label)
     record = ConditionRecord(
@@ -481,17 +483,20 @@ def verify_viscosity_conditions(model, surface, start_time, start_state,
     conds = list(_closed_loop_conditions(model, surface, ensemble,
                                          candidate_triple, config))
 
+    extras = {}
     if battery:
         w0 = float(np.asarray(surface.value_at(start_time, start_state)))
-        conds.append(_battery_condition(model, w0, start_time, start_state,
-                                        battery, grid, config,
-                                        "value-consistency")[0])
+        cond, extras["battery"] = _battery_condition(
+            model, w0, start_time, start_state, battery, grid, config,
+            "value-consistency")
+        conds.append(cond)
 
     fp = _route_fingerprint("viscosity", model, surface, start_time, start_state,
                             config, probe=(_PROBE_MAX_RADIUS, _PROBE_LEVELS,
                                            _PROBE_SAMPLES, config.probe.seed))
     return VerificationReport(theorem="viscosity-verification",
-                              conditions=tuple(conds), fingerprint=fp)
+                              conditions=tuple(conds), fingerprint=fp,
+                              extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +628,8 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
                f"{rejected} rejected of {n}")
 
     mc_grid = TimeGrid(start_time, model.horizon, config.steps)
-    ensemble = simulate_closed_loop(model, law, start_time, start_state,
-                                    mc_grid, config.n_paths, config.seed)
+    ensemble = simulate_law(model, law, start_time, start_state,
+                            mc_grid, config.n_paths, config.seed)
     closed = _closed_loop_conditions(
         model, surface, ensemble, candidate_triple, config,
         names=("table-membership-on-paths", "martingale-slope-match",

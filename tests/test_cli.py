@@ -231,6 +231,48 @@ def test_unknown_key_in_yaml_config(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_malformed_yaml_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("mc: [1, 2\n")
+    code, _, err = run(capsys, ["cost", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    with open(cfg) as fh, pytest.raises(yaml.YAMLError) as exc:
+        yaml.safe_load(fh)
+    assert err == f"ERROR[config]: {exc.value}\n"
+
+
+def test_cost_manifest_records_backward_diagnostics(tmp_path, capsys):
+    keys = {"max_obstacle_violation", "max_skorokhod_slack",
+            "estimator_fallback_nodes", "penalty_level"}
+    for method in ("reflected", "feedback", "tree"):
+        out = tmp_path / method
+        code, _, _ = run(capsys, ["cost", "--out", str(out), *FAST_MC,
+                                  "--set", f"cost.method={method}",
+                                  "--set", "cost.tree_depth=6"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        if method == "tree":
+            assert "diagnostics" not in manifest
+        else:
+            diag = manifest["diagnostics"]
+            assert set(diag) == keys
+            assert diag["max_obstacle_violation"] <= 0.0
+            assert diag["penalty_level"] is None
+
+
+def test_classical_report_json_lists_battery_costs(tmp_path, capsys):
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *FAST_MC,
+                              "--set", "verify.battery_random=1"])
+    assert code in (0, 1)
+    report = json.loads((tmp_path / "report.json").read_text())
+    rows = report["extras"]["battery"]
+    assert [r["control"] for r in rows] == [
+        "const:0", "const:0.25", "const:0.5", "const:0.75", "const:1", "random:0"]
+    assert all(set(r) == {"control", "value", "stderr", "slack"} for r in rows)
+    bound = next(c for c in report["conditions"] if c["name"] == "battery-lower-bound")
+    assert max(r["slack"] for r in rows) == bound["slack"]
+
+
 def test_csv_reproducibility(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

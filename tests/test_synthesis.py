@@ -8,7 +8,8 @@ from rfbsde import (ConfigError, OpenLoopControl, TimeGrid, cost_functional,
 from rfbsde.hjb import (SpaceTimeGrid, _hamiltonian_grid, _state_control_tables,
                         solve_obstacle_hjb)
 from rfbsde.model import ControlModel, ControlSet, example_classical, zero_model
-from rfbsde.synthesis import FeedbackLaw, check_law_regularity
+from rfbsde.simulate import simulate_closed_loop
+from rfbsde.synthesis import FeedbackLaw, check_law_regularity, simulate_law
 
 E2 = math.exp(2.0)
 
@@ -117,6 +118,18 @@ def test_evaluate_viscosity_constant_law_zero(viscosity_model):
     est = evaluate_feedback(viscosity_model, law, 0.0, 0.0,
                             TimeGrid(0.0, 1.0, 50), 200, seed=2)
     assert est.value == 0.0 and est.stderr == 0.0
+
+
+def test_constant_law_runs_as_open_loop_constant(viscosity_model, viscosity_law):
+    # a constant law outside the control set is projected onto it; its paths
+    # are the closed loop's bit for bit, from one shared control column
+    grid = TimeGrid(0.0, 1.0, 20)
+    for law in (FeedbackLaw.constant(5.0, viscosity_model.control_set), viscosity_law):
+        ens = simulate_law(viscosity_model, law, 0.0, 0.5, grid, 300, 3)
+        ref = simulate_closed_loop(viscosity_model, law, 0.0, 0.5, grid, 300, 3)
+        assert np.array_equal(ens.states, ref.states)
+        assert np.array_equal(ens.controls, ref.controls)
+        assert (ens.controls.strides[1] == 0) == (law.table is None)
 
 
 def test_evaluate_refuses_irregular_law(viscosity_model, viscosity_law):

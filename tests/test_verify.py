@@ -220,8 +220,8 @@ def test_verify_classical_passes(classical_candidate, small_config):
                               battery, small_config)
     assert report.passed
     # tightest lower-bound margin sits at the optimal constant control
-    worst = max(report.extras["battery"], key=lambda d: d[3])
-    assert worst[0] == "const:0"
+    worst = max(report.extras["battery"], key=lambda d: d["slack"])
+    assert worst["control"] == "const:0"
 
 
 def test_verify_classical_zero_model(small_config):
