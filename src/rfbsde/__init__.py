@@ -1,8 +1,7 @@
 """Numerical toolkit for stochastic optimal control with reflected FBSDEs."""
 
 from .errors import (BackwardSolverError, ConfigError, EvaluationError,
-                     KinkColumnError, RfbsdeError, SimulationError,
-                     StabilityError)
+                     KinkColumnError, RfbsdeError, SimulationError)
 from .model import (AssumptionReport, ControlModel, ControlSet, ProbeGrid,
                     build_model, example_classical, example_viscosity,
                     random_lipschitz_model, validate_assumptions, zero_model)

@@ -40,7 +40,7 @@ from .verify import (MembershipProbe, VerifyConfig,
 DEFAULTS = {
     "model": {"name": "example-classical", "horizon": 1.0, "control_points": 5},
     "pde": {"t_steps": 400, "x_steps": 100, "x_min": 0.1, "x_max": 5.0,
-            "scheme": "explicit", "cfl": "auto", "penalty_level": None,
+            "scheme": "explicit", "penalty_level": None,
             "surface": "computed"},
     "mc": {"paths": 20000, "steps": 100, "seed": 7,
            "start_time": 0.0, "start_state": 1.0},
@@ -301,8 +301,7 @@ def _surface_for(cfg, model, choice):
     p = cfg["pde"]
     level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
     return solve_obstacle_hjb(model, _pde_grid(cfg, model),
-                              scheme=p["scheme"], cfl=p["cfl"],
-                              penalty_level=level)
+                              scheme=p["scheme"], penalty_level=level)
 
 
 def cmd_solve(cfg):

@@ -21,13 +21,5 @@ class EvaluationError(RfbsdeError):
     """A model coefficient produced a non-finite value."""
 
 
-class StabilityError(RfbsdeError):
-    """Explicit time step violates the stability bound in strict mode."""
-
-    def __init__(self, message, required_dt=None):
-        super().__init__(message)
-        self.required_dt = required_dt
-
-
 class KinkColumnError(RfbsdeError):
     """A surface with declared kink columns handed to the classical route."""

@@ -15,9 +15,7 @@ the whole line); edge columns carry no artificial boundary data: the explicit
 scheme refills them by quadratic extrapolation from interior values after
 each step, and the implicit scheme's edge rows impose linear extrapolation.
 The explicit scheme is monotone under the parabolic step-size bound;
-requested time steps above the bound are split into internal substeps unless
-strict mode is selected, in which case the solver refuses and reports the
-required step.
+requested time steps above the bound are split into internal substeps.
 """
 
 import functools
@@ -27,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, StabilityError, BackwardSolverError
+from .errors import ConfigError, EvaluationError, BackwardSolverError
 from .rbsde import _barrier_resolve
 
 _POLICY_SHIFT_TOL = 1e-9    # policy iteration stops below this relative shift
@@ -265,33 +263,29 @@ def _coefficient_bounds(model, grid):
     return s2max, bmax
 
 
-def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
-                       penalty_level=None):
+def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     """Backward solve of the obstacle equation on the grid.
 
     The infimum is over the grid of the model's one control interval.
     ``scheme='explicit'`` steps with central differences and an exhaustive
     control-grid infimum, refilling the edge columns by quadratic
     extrapolation (``boundary=extrap2`` in the provenance); steps above the
-    parabolic bound are split into substeps (``cfl='strict'`` refuses
-    instead).  ``scheme='implicit'`` runs policy iteration with a banded
-    implicit generator per time step whose edge rows impose linear
-    extrapolation (``boundary=extrap1``).  With a positive ``penalty_level``
-    the hard projection onto the barrier is replaced by the soft penalty
-    resolve, which is how the penalty approximation of the variational
-    inequality is exposed for convergence studies; the provenance then ends
-    in ``penalty=<level>``.  Bad arguments are refused before any model call.
+    parabolic bound are split into substeps.  ``scheme='implicit'`` runs
+    policy iteration with a banded implicit generator per time step whose
+    edge rows impose linear extrapolation (``boundary=extrap1``).  With a
+    positive ``penalty_level`` the hard projection onto the barrier is
+    replaced by the soft penalty resolve, which is how the penalty
+    approximation of the variational inequality is exposed for convergence
+    studies; the provenance then ends in ``penalty=<level>``.  Bad arguments are refused before any model call.
     """
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
     if scheme not in ("explicit", "implicit"):
         raise ConfigError("scheme must be 'explicit' or 'implicit'")
-    if cfl not in ("auto", "strict"):
-        raise ConfigError("cfl must be 'auto' or 'strict'")
     if penalty_level is not None and not penalty_level > 0:
         raise ConfigError(f"penalty level must be positive, got {penalty_level!r}")
     if scheme == "explicit":
-        values, meta = _solve_explicit(model, grid, cfl, penalty_level)
+        values, meta = _solve_explicit(model, grid, penalty_level)
     else:
         values, meta = _solve_policy_iteration(model, grid, penalty_level)
     if penalty_level is not None:
@@ -302,15 +296,11 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", cfl="auto",
                         model_name=model.name)
 
 
-def _solve_explicit(model, grid, cfl, penalty_level):
+def _solve_explicit(model, grid, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     s2max, bmax = _coefficient_bounds(model, grid)
     stable_dt = dx * dx / max(s2max + bmax * dx, 1e-300)
     substeps = max(1, int(math.ceil(dt / stable_dt)))
-    if substeps > 1 and cfl == "strict":
-        raise StabilityError(
-            f"explicit step dt={dt:.6g} violates the stability bound; "
-            f"required dt <= {stable_dt:.6g}", required_dt=stable_dt)
 
     tables = _state_control_tables(model, xs[1:-1])
     h = np.empty(tables[0].shape)

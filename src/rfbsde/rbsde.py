@@ -30,8 +30,6 @@ _PIVOT_RATIO = 1e-10
 _FIXED_POINT_TOL = 1e-4     # relative tail estimate at which the driver sweep stops
 _MIN_SWEEPS = 3             # driver fixed-point sweeps before the first tail estimate
 _MAX_SWEEPS = 50            # driver fixed-point sweeps before giving up
-_BOOTSTRAP_DRAWS = 64       # resamples behind the reported standard error
-_TREE_SWEEPS = 3            # driver fixed-point sweeps per tree node
 
 
 @dataclass(frozen=True)
@@ -156,13 +154,40 @@ def _barrier_resolve(raw, barrier, penalty_level, dt):
     return np.where(over <= 0.0, raw, barrier + over / (1.0 + penalty_level * dt))
 
 
+def _fixed_point(sweep, y, where):
+    """Iterate ``y = sweep(y)`` to the driver fixed point; returns (y, max|y|).
+
+    Sweeps ``_MIN_SWEEPS`` times, then on until the geometric-tail estimate
+    of the remaining error is within ``_FIXED_POINT_TOL`` x (1 + max|y|).  A
+    non-finite value, a contraction estimate >= 1, or ``_MAX_SWEEPS`` sweeps
+    raise, naming the node by ``where``.
+    """
+    shift = 0.0
+    prev_shift = math.inf
+    for n_sweeps in range(1, _MAX_SWEEPS + 1):
+        y_new = sweep(y)
+        prev_shift = shift if shift > 0.0 else prev_shift
+        shift = float(np.max(np.abs(y_new - y)))
+        y = y_new
+        if n_sweeps < _MIN_SWEEPS:
+            continue
+        y_max = float(np.max(np.abs(y)))
+        if not math.isfinite(y_max):
+            raise BackwardSolverError(f"non-finite backward value {where}")
+        rate = shift / prev_shift if math.isfinite(prev_shift) and prev_shift > 0 else 0.0
+        tail = shift * rate / max(1.0 - rate, 1e-12)
+        if rate < 1.0 and tail <= _FIXED_POINT_TOL * (1.0 + y_max):
+            return y, y_max
+        if rate >= 1.0 or n_sweeps == _MAX_SWEEPS:
+            raise BackwardSolverError(
+                f"driver fixed point not converged {where} "
+                f"(residual {shift:.3e}, contraction {rate:.3g}, {n_sweeps} sweeps)")
+
+
 def _backward_pass(model, ensemble, config, penalty_level):
     """Shared backward induction.  penalty_level=None means hard reflection.
 
-    The driver is swept ``_MIN_SWEEPS`` times per node, then on until the
-    geometric-tail error estimate is within ``_FIXED_POINT_TOL`` x (1 + max|y|);
-    a contraction estimate >= 1, or ``_MAX_SWEEPS`` sweeps, raises.
-
+    The driver is swept to its fixed point per node by :func:`_fixed_point`.
     The obstacle is evaluated once per node, and the obstacle violation and
     the per-path Skorokhod slack (barrier gap times push, summed over nodes)
     are accumulated on the way.  The reflected pass raises when either
@@ -195,29 +220,14 @@ def _backward_pass(model, ensemble, config, penalty_level):
         barrier = np.asarray(model.obstacle(nodes[i], x), dtype=float)
         u = ensemble.controls[:, i]
 
-        y = cont.copy()
-        shift = 0.0
-        prev_shift = math.inf
-        for sweep in range(1, _MAX_SWEEPS + 1):
+        raw = None            # the last sweep before the barrier, for the pushes
+
+        def sweep(y):
+            nonlocal raw
             raw = cont + np.asarray(model.driver(nodes[i], x, y, z, u), dtype=float) * dt
-            y_new = _barrier_resolve(raw, barrier, penalty_level, dt)
-            prev_shift = shift if shift > 0.0 else prev_shift
-            shift = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if sweep < _MIN_SWEEPS:
-                continue
-            y_max = float(np.max(np.abs(y)))
-            if not math.isfinite(y_max):
-                raise BackwardSolverError(f"non-finite backward value at step {i}")
-            # geometric-tail estimate of the remaining fixed-point error
-            rate = shift / prev_shift if math.isfinite(prev_shift) and prev_shift > 0 else 0.0
-            tail = shift * rate / max(1.0 - rate, 1e-12)
-            if rate < 1.0 and tail <= _FIXED_POINT_TOL * (1.0 + y_max):
-                break
-            if rate >= 1.0 or sweep == _MAX_SWEEPS:
-                raise BackwardSolverError(
-                    f"driver fixed point not converged at step {i} "
-                    f"(residual {shift:.3e}, contraction {rate:.3g}, {sweep} sweeps)")
+            return _barrier_resolve(raw, barrier, penalty_level, dt)
+
+        y, y_max = _fixed_point(sweep, cont, f"at step {i}")
         value_max = max(value_max, y_max)
         violation = max(violation, float(np.max(y - barrier)))
         if reflected:
@@ -303,21 +313,18 @@ def _path_contributions(model, ensemble, sol):
     return xi
 
 
+def _stderr(samples):
+    """Standard error of the plain mean of ``samples``: std(ddof=1) / sqrt(n),
+    and 0 for n <= 1."""
+    n = len(samples)
+    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def _node0_estimate(model, ensemble, config):
-    """Node-0 value and a bootstrap standard error over path contributions."""
+    """Node-0 value and the standard error of the mean path contribution."""
     sol = solve_reflected(model, ensemble, config)
     value = sol.value[:, 0].mean()
-    xi = _path_contributions(model, ensemble, sol)
-    n_paths = ensemble.n_paths
-    if n_paths > 1:
-        gen = np.random.Generator(
-            np.random.Philox(key=(ensemble.seed + 0x0B00) & (2**63 - 1)))
-        boots = np.array([
-            xi[gen.integers(0, n_paths, size=n_paths)].mean()
-            for _ in range(_BOOTSTRAP_DRAWS)])
-        stderr = float(boots.std(ddof=1))
-    else:
-        stderr = 0.0
+    stderr = _stderr(_path_contributions(model, ensemble, sol))
     return CostEstimate(value=float(value), stderr=stderr, solution=sol)
 
 
@@ -327,7 +334,7 @@ def cost_functional(model, start_time, start_state, control, grid, n_paths, seed
 
     Composes forward simulation with the reflected solver; the reported value
     is the cross-path node-0 estimate (deterministic at the initial time) with
-    a bootstrap standard error.
+    the standard error of the mean path contribution.
     """
     ensemble = simulate_paths(model, start_time, start_state, control, grid,
                               n_paths, seed)
@@ -339,10 +346,10 @@ def tree_oracle(model, start_time, start_state, policy, depth):
 
     Children match the first two conditional moments of one Euler step, with
     the drift advanced by a midpoint predictor; the running driver is
-    integrated by the trapezoidal rule, solved implicitly by a short
-    fixed-point sweep.  Expectations over the tree are exact, so the only
-    error is time discretization.  The tree recombines only when the dynamics
-    happen to allow it, hence the depth cap.
+    integrated by the trapezoidal rule, solved implicitly by the Monte Carlo
+    schemes' driver fixed-point sweep.  Expectations over the tree are exact,
+    so the only error is time discretization.  The tree recombines only when
+    the dynamics happen to allow it, hence the depth cap.
     """
     depth = int(depth)
     if depth < 1 or depth > 20:
@@ -383,19 +390,10 @@ def tree_oracle(model, start_time, start_state, policy, depth):
         cont = 0.5 * (up + dn)
         g_mean = 0.5 * (g[0::2] + g[1::2])
         z = (up - dn) / (2.0 * sq)
-        yi = cont.copy()
-        shift = 0.0
-        for _ in range(_TREE_SWEEPS):
-            y_new = cont + 0.5 * dt * (
-                np.asarray(model.driver(times[i], s, yi, z, u), dtype=float) + g_mean)
-            prev_shift, shift = shift, float(np.max(np.abs(y_new - yi)))
-            yi = y_new
-        # contraction estimate of the last two sweeps; 0/0 is an exact fixed point
-        rate = shift / prev_shift if prev_shift > 0.0 else 0.0
-        if not (math.isfinite(shift) and rate < 1.0):
-            raise BackwardSolverError(
-                f"tree driver sweep diverges at level {i} "
-                f"(residual {shift:.3e}, contraction {rate:.3g}, {_TREE_SWEEPS} sweeps)")
+        yi, _ = _fixed_point(
+            lambda v: cont + 0.5 * dt * (
+                np.asarray(model.driver(times[i], s, v, z, u), dtype=float) + g_mean),
+            cont, f"at tree level {i}")
         barrier = np.asarray(model.obstacle(times[i], s), dtype=float)
         yi = np.minimum(yi, barrier)
         g = np.asarray(model.driver(times[i], s, yi, z, u), dtype=float)

@@ -92,7 +92,6 @@ class PathEnsemble:
     states: np.ndarray
     increments: np.ndarray
     controls: np.ndarray
-    seed: int
 
     @property
     def n_paths(self):
@@ -155,7 +154,7 @@ def _euler(model, start_time, start_state, grid, n_paths, seed, control_at,
         states[:, i + 1] = nxt
 
     return PathEnsemble(grid=grid, states=states, increments=dW,
-                        controls=controls, seed=int(seed))
+                        controls=controls)
 
 
 def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, KinkColumnError
 from .hjb import _assemble, coefficients, inf_hamiltonian
-from .rbsde import SolverConfig, cost_functional, solve_reflected
+from .rbsde import SolverConfig, _stderr, cost_functional, solve_reflected
 from .simulate import OpenLoopControl, TimeGrid, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback, simulate_law
 
@@ -52,6 +52,7 @@ class ConditionRecord:
     tolerance: float
     status: str          # "pass" | "fail" | "inconclusive"
     detail: str = ""
+    terms: dict = field(default_factory=dict)   # named parts behind the slack
 
     @property
     def passed(self):
@@ -91,10 +92,24 @@ class VerificationReport:
             "fingerprint": self.fingerprint,
             "conditions": [
                 {"name": c.name, "slack": c.slack, "tolerance": c.tolerance,
-                 "status": c.status, "detail": c.detail}
+                 "status": c.status, "detail": c.detail, "terms": c.terms}
                 for c in self.conditions],
             "extras": self.extras,
         }
+
+
+def _band(name, gap, stderr, tolerance, detail="", **budget):
+    """Condition on a Monte Carlo estimate: ``gap`` beyond its noise band.
+
+    The slack ``gap - 3 stderr - sum(budget)`` is signed; the condition
+    passes when it is at most ``tolerance``.  Its terms are the gap, the
+    standard error and each budget term, by name.
+    """
+    slack = float(gap - 3.0 * stderr - sum(budget.values()))
+    return ConditionRecord(name=name, slack=slack, tolerance=tolerance,
+                           status="pass" if slack <= tolerance else "fail",
+                           detail=detail,
+                           terms={"gap": float(gap), "stderr": float(stderr), **budget})
 
 
 def _fingerprint(payload):
@@ -287,23 +302,23 @@ def _battery_condition(model, w0, start_time, start_state, battery, grid,
     """Surface value w0 against every battery cost, within noise plus budget.
 
     Returns the condition record and one row per control: its label, cost
-    estimate, standard error and slack.
+    estimate, standard error and slack.  The record is the worst control's.
     """
-    worst = (-math.inf, "")
+    if not battery:
+        raise ConfigError("the control battery is empty")
+    worst = None
     details = []
     for k, (label, control) in enumerate(battery):
         est = cost_functional(model, start_time, start_state, control, grid,
                               config.n_paths, config.seed + 13 * k, config.solver)
-        slack = float(w0 - est.value - 3.0 * est.stderr - config.bias_budget)
+        cond = _band(name, w0 - est.value, est.stderr, 0.0,
+                     detail=f"worst control {label} of {len(battery)}",
+                     bias_budget=config.bias_budget)
         details.append({"control": label, "value": float(est.value),
-                        "stderr": float(est.stderr), "slack": slack})
-        if slack > worst[0]:
-            worst = (slack, label)
-    record = ConditionRecord(
-        name=name, slack=worst[0], tolerance=0.0,
-        status="pass" if worst[0] <= 0.0 else "fail",
-        detail=f"worst control {worst[1]} of {len(battery)}")
-    return record, details
+                        "stderr": float(est.stderr), "slack": cond.slack})
+        if worst is None or cond.slack > worst.slack:
+            worst = cond
+    return worst, details
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +351,10 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
     law_est = evaluate_feedback(model, candidate_law, start_time, start_state,
                                 grid, config.n_paths, config.seed + 1,
                                 config.solver, allow_irregular=True)
-    slack_b = abs(w0 - law_est.value) - 3.0 * law_est.stderr - config.bias_budget
-    cond_b = ConditionRecord(
-        name="law-achieves-value",
-        slack=slack_b, tolerance=0.0,
-        status="pass" if slack_b <= 0.0 else "fail",
-        detail=f"law cost {law_est.value:.6g} +/- {law_est.stderr:.2g} "
-               f"vs surface {w0:.6g}")
+    cond_b = _band("law-achieves-value", abs(w0 - law_est.value), law_est.stderr,
+                   0.0, detail=f"law cost {law_est.value:.6g} +/- "
+                               f"{law_est.stderr:.2g} vs surface {w0:.6g}",
+                   bias_budget=config.bias_budget)
 
     reg = check_law_regularity(candidate_law)
     cond_c = ConditionRecord(
@@ -350,7 +362,8 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
         slack=0.0 if reg.member else reg.worst_jump,
         tolerance=0.0,
         status="pass" if reg.member else "fail",
-        detail=f"lipschitz~{reg.lipschitz_constant:.3g}")
+        detail=f"lipschitz~{reg.lipschitz_constant:.3g}",
+        terms={"worst_jump": float(reg.worst_jump)})
 
     fp = _route_fingerprint("classical", model, surface, start_time, start_state,
                             config, battery=[b[0] for b in battery],
@@ -418,20 +431,21 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         surface, ensemble, candidate_triple, config)
     checked = counts["member"] + counts["non-member"] + counts["inconclusive"]
     rate = counts["member"] / checked if checked else 0.0
+    # with no rejection, rate >= 0.95 leaves at most 5% inconclusive
     if counts["non-member"] > 0:
         status_i = "fail"
-    elif checked == 0 or counts["inconclusive"] / checked > _INCONCLUSIVE_QUOTA \
-            or rate < 0.95:
+    elif rate < 0.95:
         status_i = "inconclusive"
     else:
         status_i = "pass"
     cond_member = ConditionRecord(
         name=names[0],
-        slack=max(worst_margin, 0.0),
+        slack=worst_margin,
         tolerance=config.probe.member_tol,
         status=status_i,
         detail=f"member rate {rate:.3f} over {checked} points "
-               f"({counts['non-member']} rejected, {counts['skipped']} off-box)")
+               f"({counts['non-member']} rejected, {counts['skipped']} off-box)",
+        terms=counts)
 
     num = 0.0
     den = 0.0
@@ -447,23 +461,13 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
         num += float(np.sum(diff * diff)) * dt
         den += float(np.sum(z * z)) * dt
         integrals += (q + _assemble(coef, p, pp)) * dt
-    if num == 0.0:
-        z_slack = 0.0
-    else:
-        z_slack = num / max(den, 1e-24)
-    cond_z = ConditionRecord(
-        name=names[1], slack=z_slack, tolerance=config.z_tol,
-        status="pass" if z_slack <= config.z_tol else "fail",
-        detail="relative mean-square gap of slope identity")
+    cond_z = _band(names[1], num / max(den, 1e-24), 0.0, config.z_tol,
+                   detail="relative mean-square gap of slope identity")
 
     mean = float(integrals.mean())
-    se = float(integrals.std(ddof=1) / math.sqrt(len(integrals))) \
-        if len(integrals) > 1 else 0.0
-    slack_int = mean - 3.0 * se
-    cond_int = ConditionRecord(
-        name=names[2], slack=max(slack_int, 0.0), tolerance=_ZERO_TOL,
-        status="pass" if slack_int <= _ZERO_TOL else "fail",
-        detail=f"integral estimate {mean:.6g} +/- {se:.2g}")
+    se = _stderr(integrals)
+    cond_int = _band(names[2], mean, se, _ZERO_TOL,
+                     detail=f"integral estimate {mean:.6g} +/- {se:.2g}")
     return cond_member, cond_z, cond_int
 
 
@@ -625,7 +629,9 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
         tolerance=_POINTWISE_TOL,
         status=status_pt,
         detail=f"{members} member nodes, {inconclusive} inconclusive, "
-               f"{rejected} rejected of {n}")
+               f"{rejected} rejected of {n}",
+        terms={"member": members, "inconclusive": inconclusive,
+               "non-member": rejected})
 
     mc_grid = TimeGrid(start_time, model.horizon, config.steps)
     ensemble = simulate_law(model, law, start_time, start_state,

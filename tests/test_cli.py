@@ -183,14 +183,6 @@ def test_solve_viscosity_flags_kink(tmp_path, capsys):
     assert "kink columns" in out
 
 
-def test_strict_cfl_exits_nonzero_with_required_dt(tmp_path, capsys):
-    code, _, err = run(capsys, ["solve", "--out", str(tmp_path),
-                                "--set", "pde.cfl=strict", *FAST_PDE])
-    assert code == 3
-    assert err.startswith("ERROR[numerical]")
-    assert "required dt" in err
-
-
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, ["cost", "--out", str(tmp_path),
                                 "--set", "nonsense.key=1"])
@@ -271,6 +263,50 @@ def test_classical_report_json_lists_battery_costs(tmp_path, capsys):
     assert all(set(r) == {"control", "value", "stderr", "slack"} for r in rows)
     bound = next(c for c in report["conditions"] if c["name"] == "battery-lower-bound")
     assert max(r["slack"] for r in rows) == bound["slack"]
+
+
+BAND_TERMS = {"gap", "stderr"}
+PATH_COUNTS = {"member", "non-member", "inconclusive", "skipped"}
+CONDITION_TERMS = {
+    "battery-lower-bound": BAND_TERMS | {"bias_budget"},
+    "value-consistency": BAND_TERMS | {"bias_budget"},
+    "law-achieves-value": BAND_TERMS | {"bias_budget"},
+    "law-regularity": {"worst_jump"},
+    "superdifferential-membership": PATH_COUNTS,
+    "table-membership-on-paths": PATH_COUNTS,
+    "pointwise-lower-inequality": {"member", "non-member", "inconclusive"},
+    "martingale-slope-match": BAND_TERMS,
+    "integral-optimality": BAND_TERMS,
+}
+
+
+@pytest.mark.parametrize("argv, names", [
+    ([*FAST_MC, "--set", "verify.battery_random=1"],
+     ["battery-lower-bound", "law-achieves-value", "law-regularity"]),
+    (["--set", "model.name=example-viscosity", "--set", "verify.mode=viscosity",
+      "--set", "verify.control=1.0", "--set", "mc.start_state=0.0",
+      "--set", "mc.paths=500", "--set", "mc.steps=50",
+      "--set", "verify.battery_random=1", "--set", "pde.x_min=-1",
+      "--set", "pde.x_max=1", "--set", "pde.t_steps=100", "--set", "pde.x_steps=100"],
+     ["superdifferential-membership", "martingale-slope-match",
+      "integral-optimality", "value-consistency"]),
+    (["--set", "verify.mode=feedback", *FAST_PDE, *FAST_MC,
+      "--set", "verify.membership_times=4", "--set", "verify.node_samples=8"],
+     ["pointwise-lower-inequality", "table-membership-on-paths",
+      "martingale-slope-match", "integral-optimality"]),
+], ids=["classical", "viscosity", "feedback"])
+def test_report_json_carries_condition_terms(tmp_path, capsys, argv, names):
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *argv])
+    assert code in (0, 1)
+    conditions = json.loads((tmp_path / "report.json").read_text())["conditions"]
+    assert [c["name"] for c in conditions] == names
+    for c in conditions:
+        terms = c["terms"]
+        assert set(terms) == CONDITION_TERMS[c["name"]]
+        if "gap" in terms:
+            # a band condition's slack is rebuilt from its terms
+            assert c["slack"] == (terms["gap"] - 3.0 * terms["stderr"]
+                                  - terms.get("bias_budget", 0.0))
 
 
 def test_csv_reproducibility(tmp_path, capsys):
@@ -393,7 +429,8 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
         assert code == 2
         assert err.startswith("ERROR[config]")
     # keys that no solver reads are not in the schema: unknown keys, exit 2
-    for gone in ("penalty.n=50.0", "pde.boundary=extrap1", "solver.picard_iterations=3"):
+    for gone in ("penalty.n=50.0", "pde.boundary=extrap1", "solver.picard_iterations=3",
+                 "pde.cfl=auto"):
         code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", gone])
         assert code == 2
         assert err.startswith("ERROR[config]: unknown config key")
@@ -424,14 +461,14 @@ VISCOSITY_COST = [*VISCOSITY_BOX, "--set", "mc.start_state=-0.5",
 
 
 @pytest.mark.parametrize("extra, method, digest", [
-    ([], "reflected", "323e9c6a113c8d118e040958c298b157e96e63574dcc5489a939ba7127af17a1"),
-    ([], "feedback", "64015cc0d9a88592b268a3b4ee7568202004679baee0a6a0eeb8ce2d4967a570"),
+    ([], "reflected", "3c8a0e805852c5aa55dae181d41a6bc66108896f4e3c3c0489540403f6170454"),
+    ([], "feedback", "f8daf0f6a29fcb9a354778873b8725f5bddb578cc4a10170c8c201c07d62c7b9"),
     ([], "tree", "eb16caa989996228c9a6588bb175c1942499fd2993c0d52588f69a023e6c7219"),
     # off the obstacle cap, so the value itself is pinned, not only e^2
     (VISCOSITY_COST, "reflected",
-     "e82d265b3461d077fddc71aa4893ca0bf02db2ffc16dfb5c08cfcb9df7b7be25"),
+     "e467bd503255e1b23dec6989a44f7628e95a82436a4324a1951394ab2dc202ff"),
     (VISCOSITY_COST, "feedback",
-     "f1ffa89c36efd0ba6aa1dbc9cd1321db376718709b60cea31b7bd63295b742ed"),
+     "7f8814e896da820d787cef3db624e52f14c39d0bd90fff07501d7792a05d0624"),
     (VISCOSITY_COST, "tree",
      "32227399a15f2253033ca5ab2447000eee0a68d4da0f621b1e15b7470ddd0c31"),
 ], ids=["classical-reflected", "classical-feedback", "classical-tree",

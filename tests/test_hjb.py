@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfbsde import (BackwardSolverError, ConfigError, SpaceTimeGrid, StabilityError,
+from rfbsde import (BackwardSolverError, ConfigError, SpaceTimeGrid,
                     extract_feedback, hamiltonian_minima, inf_hamiltonian, residual,
                     solve_obstacle_hjb)
 from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
@@ -120,15 +120,6 @@ def test_implicit_scheme_matches_closed_form(classical_model):
     ref = grid.xs[None, :] * np.exp(2.0 * (1.0 - grid.times))[:, None]
     rel = np.abs(surface.values - ref) / np.abs(ref)
     assert rel[:, 3:-3].max() <= 1e-2
-
-
-def test_strict_cfl_refuses(classical_model):
-    grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
-                         t_steps=100, x_steps=100)
-    with pytest.raises(StabilityError) as err:
-        solve_obstacle_hjb(classical_model, grid, cfl="strict")
-    assert err.value.required_dt is not None
-    assert err.value.required_dt < grid.dt
 
 
 def test_projection_and_terminal_exact(classical_surface, classical_model):
@@ -338,10 +329,9 @@ def test_policy_iteration_with_scalar_coefficients():
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 @pytest.mark.parametrize("kwargs, message", [
-    ({"cfl": "nonsense"}, "cfl must be 'auto' or 'strict'"),
     ({"penalty_level": -5.0}, "penalty level must be positive, got -5.0"),
     ({"penalty_level": 0.0}, "penalty level must be positive, got 0.0"),
-], ids=["cfl", "penalty-negative", "penalty-zero"])
+], ids=["penalty-negative", "penalty-zero"])
 def test_bad_solver_arguments_refused_before_any_step(classical_model, scheme,
                                                       kwargs, message):
     calls = []

@@ -117,6 +117,20 @@ def test_cost_viscosity_optimal_pair_zero():
     assert est.stderr == 0.0
 
 
+def test_cost_stderr_is_plain_mean_formula():
+    model = example_classical()
+    grid = TimeGrid(0.0, 1.0, 20)
+    ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
+                         500, seed=3)
+    est = rbsde._node0_estimate(model, ens, SolverConfig())
+    xi = rbsde._path_contributions(model, ens, est.solution)
+    assert est.stderr == xi.std(ddof=1) / math.sqrt(len(xi))
+    assert est.stderr > 0.0
+    one = cost_functional(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
+                          1, seed=3)
+    assert one.stderr == 0.0
+
+
 def test_solution_invariants(classical_ensemble):
     model, ens = classical_ensemble
     sol = solve_reflected(model, ens)
@@ -208,15 +222,37 @@ def test_picard_divergence_raises():
             solve_reflected(model, ens)
 
 
+def _tree_band(exact, depth):
+    # each level stops its sweep at a tail estimate within the fixed-point
+    # tolerance of its scale; the later levels carry that error up to the
+    # root, and the factor 2 covers the tail estimate's own error
+    return 2.0 * depth * rbsde._FIXED_POINT_TOL * (1.0 + abs(exact))
+
+
 def test_tree_divergent_sweep_raises():
     # the trapezoidal sweep of f = rate y contracts by rate * dt / 2: 1.875
     # for rate 15 at depth 4, where three sweeps returned 388432 against the
     # fixed point 116.55
     with pytest.raises(BackwardSolverError, match=r"level 3 .*contraction 1\.88,"):
         tree_oracle(stiff_model(15.0), 0.0, 1.0, lambda t, x: 0.0, 4)
-    # a contracting sweep keeps its three sweeps: rate 2 at depth 4 (0.25)
-    # returns the same unconverged value as before the check
-    assert tree_oracle(stiff_model(2.0), 0.0, 1.0, lambda t, x: 0.0, 4) == 7.524949073791504
+    # rate 2 at depth 4 (contraction 0.25) sweeps on to the trapezoid fixed
+    # point (1 + dt)/(1 - dt) per level: (5/3)^4, not three sweeps' 7.5249
+    exact = (5.0 / 3.0) ** 4
+    value = tree_oracle(stiff_model(2.0), 0.0, 1.0, lambda t, x: 0.0, 4)
+    assert abs(value - exact) <= _tree_band(exact, 4)
+
+
+def test_tree_slow_sweep_never_returns_unconverged():
+    # rate 7 at depth 4 contracts by 0.875: three sweeps returned 998.35
+    # against the trapezoid fixed point 15^4; now the value is converged or
+    # the sweep raises
+    exact = 15.0 ** 4
+    try:
+        value = tree_oracle(stiff_model(7.0), 0.0, 1.0, lambda t, x: 0.0, 4)
+    except BackwardSolverError as err:
+        assert "contraction 0.875" in str(err)
+    else:
+        assert abs(value - exact) <= _tree_band(exact, 4)
 
 
 def test_driver_sweep_runs_to_tolerance_on_coarse_grid():

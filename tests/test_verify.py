@@ -42,6 +42,27 @@ def small_config():
 
 
 # ---------------------------------------------------------------------------
+# Noise band
+# ---------------------------------------------------------------------------
+
+def test_band_slack_is_signed_with_named_terms():
+    cond = verify._band("c", 0.5, 0.25, 0.0, detail="d", bias_budget=0.125,
+                        other=0.0625)
+    assert cond.slack == 0.5 - 0.75 - 0.1875
+    assert cond.status == "pass"
+    assert cond.detail == "d"
+    assert cond.terms == {"gap": 0.5, "stderr": 0.25, "bias_budget": 0.125,
+                          "other": 0.0625}
+    assert verify._band("c", 2.0, 0.25, 0.0).slack == 1.25
+
+
+def test_band_passes_exactly_at_tolerance():
+    assert verify._band("c", 0.75, 0.0, 0.75).status == "pass"
+    assert verify._band("c", 1.0, 0.0625, 0.75).status == "fail"
+    assert verify._band("c", 1.0, 0.0, 0.75).status == "fail"
+
+
+# ---------------------------------------------------------------------------
 # Superdifferential membership
 # ---------------------------------------------------------------------------
 
@@ -222,6 +243,13 @@ def test_verify_classical_passes(classical_candidate, small_config):
     # tightest lower-bound margin sits at the optimal constant control
     worst = max(report.extras["battery"], key=lambda d: d["slack"])
     assert worst["control"] == "const:0"
+
+
+def test_verify_classical_refuses_empty_battery(classical_candidate, small_config):
+    model = example_classical()
+    law = FeedbackLaw.constant(0.0, model.control_set)
+    with pytest.raises(ConfigError, match="battery is empty"):
+        verify_classical(model, classical_candidate, 0.5, 1.0, law, [], small_config)
 
 
 def test_verify_classical_zero_model(small_config):
