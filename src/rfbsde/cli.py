@@ -431,29 +431,30 @@ def cmd_verify(cfg):
     elif v["constant_law"] is not None:
         law = FeedbackLaw.constant(_control(cfg, "verify.constant_law", model),
                                    model.control_set)
-    surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
-    if mode != "viscosity" and law is None:
-        law = extract_feedback(surface, model)
+    with run.stage("surface"):
+        surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
+    with run.stage("law"):
+        if mode != "viscosity" and law is None:
+            law = extract_feedback(surface, model)
 
-    if mode == "classical":
-        battery = build_control_battery(model, start_time, vcfg.seed,
-                                        vcfg.battery_random,
-                                        vcfg.battery_switches)
-        report = verify_classical(model, surface, start_time, start_state,
-                                  law, battery, vcfg)
-    elif mode == "viscosity":
-        battery = build_control_battery(model, start_time, vcfg.seed,
-                                        min(vcfg.battery_random, 5),
-                                        vcfg.battery_switches)
-        report = verify_viscosity_conditions(
-            model, surface, start_time, start_state,
-            OpenLoopControl.constant(u0),
-            lambda s, x: triple, vcfg, battery=battery)
-    else:
-        candidate = tables_from_surface(surface) if tables_from == "surface" \
-            else lambda s, x: triple
-        report = verify_feedback_optimality(model, surface, law, candidate,
-                                            start_time, start_state, vcfg)
+    with run.stage("route"):
+        if mode == "feedback":
+            candidate = tables_from_surface(surface) if tables_from == "surface" \
+                else lambda s, x: triple
+            report = verify_feedback_optimality(model, surface, law, candidate,
+                                                start_time, start_state, vcfg)
+        else:
+            battery = build_control_battery(model, start_time, vcfg.seed,
+                                            vcfg.battery_random,
+                                            vcfg.battery_switches)
+            if mode == "classical":
+                report = verify_classical(model, surface, start_time, start_state,
+                                          law, battery, vcfg)
+            else:
+                report = verify_viscosity_conditions(
+                    model, surface, start_time, start_state,
+                    OpenLoopControl.constant(u0),
+                    lambda s, x: triple, vcfg, battery=battery)
 
     _write_report(run, report)
     run.extra["status"] = report.status

@@ -69,8 +69,9 @@ class SpaceTimeGrid:
         return np.linspace(self.x_min, self.x_max, self.x_steps + 1)
 
     def nearest_node(self, t, x):
-        """(time index, state columns) of the grid nodes nearest to (t, x)."""
-        i = int(round(min(max(float(t), 0.0), self.horizon) / self.dt))
+        """(time rows, state columns) of the grid nodes nearest to (t, x)."""
+        t = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), self.horizon)
+        i = np.rint(t / self.dt).astype(int)
         j = np.rint((np.asarray(x, dtype=float) - self.x_min) / self.dx).astype(int)
         return i, np.clip(j, 0, self.x_steps)
 
@@ -511,12 +512,10 @@ def candidate_surface(name, grid):
 
 def write_grid_csv(path, comments, grid, rows):
     """Matrix dump: ``# `` comment lines, then one row per time node and one
-    column per state node; ``rows=None`` writes the comments only."""
+    column per state node."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        if rows is None:
-            return
         # float64 .tolist() gives Python floats, whose repr is the format;
         # one row at a time keeps the list of boxed floats small
         rows = np.asarray(rows, dtype=float)

@@ -129,7 +129,5 @@ def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
 
 def write_law_csv(law, path):
     """Control table dump with the lookup rule recorded in the header."""
-    lines = [f"provenance: {law.provenance}", f"rule: {law.rule} tie_break: smallest"]
-    if law.table is None:
-        lines.append(f"constant: {law.value!r}")
-    write_grid_csv(path, lines, law.grid, law.table)
+    write_grid_csv(path, [f"provenance: {law.provenance}",
+                          f"rule: {law.rule} tie_break: smallest"], law.grid, law.table)

@@ -170,7 +170,11 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class SuperdiffCandidate:
-    """Expansion triple (time slope, gradient, curvature) at a point."""
+    """Expansion triple (time slope, gradient, curvature) at a point.
+
+    The fields may be arrays that broadcast together: one candidate per
+    element.
+    """
 
     time_slope: float
     gradient: float
@@ -181,6 +185,9 @@ class SuperdiffCandidate:
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """Verdict and margin per candidate: ``str``/``float`` for a scalar
+    candidate, arrays of the candidates' shape otherwise."""
+
     verdict: str             # "member" | "non-member" | "inconclusive"
     margin: float            # smallest max-quotient across radii (signed)
 
@@ -189,85 +196,77 @@ class MembershipResult:
 def _probe_draws(seed):
     """Unit uniforms of the probe stream of ``seed``, read-only.
 
-    The prefix of one stream serves every probe with this seed: enough
-    for all radii with both time sides.
+    One stream serves every probe with this seed: radius k of every
+    point reads the slice ``[2nk, 2n(k+1))``, n time draws then n state
+    draws.
     """
     gen = np.random.Generator(np.random.Philox(key=(seed + 0x5D1F) & (2**63 - 1)))
-    draws = gen.random(_PROBE_LEVELS * 4 * _PROBE_SAMPLES)
+    draws = gen.random(_PROBE_LEVELS * 2 * _PROBE_SAMPLES)
     draws.setflags(write=False)
     return draws
 
 
-def check_superdiff_membership(surface, cand, probe=MembershipProbe(),
-                               kind="super", side="right"):
-    """Sampled test of one-sided second-order expansion membership.
+def check_superdiff_membership(surface, cand, probe=MembershipProbe()):
+    """Sampled test of right-time parabolic superdifferential membership.
 
-    Draws points (s, y) with s to the right of the base time (radius rho) and
-    |y - x| <= sqrt(rho), evaluates the expansion quotient of the surface
-    against the candidate triple, and classifies by how the per-radius max
-    quotient behaves as the radius shrinks to grid scale.  ``kind='sub'``
-    flips the sign convention; ``side='both'`` extends the time probe to the
-    left, which can only enlarge the quotients.
+    Per candidate point, draws points (s, y) with s to the right of the base
+    time (radius rho) and |y - x| <= sqrt(rho), evaluates the expansion
+    quotient of the surface against the candidate triple, and classifies by
+    how the per-radius max quotient behaves as the radius shrinks to grid
+    scale.  Radius k = rho0 / 2^k is kept while it is at least the grid
+    floor (the first always is); the verdict reads the last kept radius and
+    the margin is the minimum over the kept ones.
 
-    Per radius the seeded stream gives, in order, the right-time draws, the
-    left-time draws (``side='both'`` with t > 0) and the state draws, taken
-    as ``low + (high - low) * U``.  The candidate state must lie in the box.
+    Every point reads the same draws: per radius, the time draws and the
+    state draws, taken as ``low + (high - low) * U``.  Every candidate state
+    must lie in the box.
     """
-    if kind not in ("super", "sub"):
-        raise ConfigError("kind must be 'super' or 'sub'")
-    if side not in ("right", "both"):
-        raise ConfigError("side must be 'right' or 'both'")
     grid = surface.grid
-    t, x = float(cand.t), float(cand.x)
-    if not (0.0 <= t < grid.horizon):
+    fields = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
+        cand.time_slope, cand.gradient, cand.curvature, cand.t, cand.x)))
+    shape = fields[0].shape
+    q, p, pp, t, x = (f.reshape(-1, 1, 1) for f in fields)
+    if not np.all((0.0 <= t) & (t < grid.horizon)):
         raise ConfigError("candidate time must lie in [0, horizon)")
-    if not (grid.x_min <= x <= grid.x_max):
-        raise ConfigError(
-            f"candidate state {x!r} outside the box [{grid.x_min}, {grid.x_max}]")
-    w0 = float(np.asarray(surface.value_at(t, x)))
-    scale = 1.0 + abs(w0)
+    outside = ~((grid.x_min <= x) & (x <= grid.x_max))
+    if outside.any():
+        raise ConfigError(f"candidate state {float(x[outside][0])!r} outside "
+                          f"the box [{grid.x_min}, {grid.x_max}]")
+    w0 = np.asarray(surface.value_at(t, x), dtype=float)
+    scale = 1.0 + np.abs(w0[:, 0, 0])
 
     floor = 0.0 if surface.exact_form is not None else max(grid.dt, grid.dx ** 2)
-    radii = []
-    rho = min(_PROBE_MAX_RADIUS, grid.horizon - t)
-    for _ in range(_PROBE_LEVELS):
-        radii.append(rho)
-        if rho * 0.5 < floor:
-            break
-        rho *= 0.5
-    # one row per radius: right-time, [left-time,] then state draws
-    rho = np.array(radii)[:, None]
-    n = _PROBE_SAMPLES
-    both = side == "both" and t > 0.0
-    width = 2 * n if both else n                 # points per radius
-    draws = _probe_draws(probe.seed)[:2 * width * len(radii)].reshape(len(radii), -1)
-    s = t + (1.0 - draws[:, :n]) * rho           # 1 - U in (0, 1]
-    if both:
-        s = np.concatenate(
-            [s, t - (1.0 - draws[:, n:width]) * np.minimum(rho, t)], axis=1)
+    # axes: point, radius, sample; radii shrink, so the kept ones are a prefix
+    rho = (np.minimum(_PROBE_MAX_RADIUS, grid.horizon - t)
+           * 0.5 ** np.arange(_PROBE_LEVELS)[:, None])
+    kept = np.maximum((rho[:, :, 0] >= floor).sum(axis=1), 1)
+    levels = int(kept.max(initial=1))            # radii the batch reads
+    rho = rho[:, :levels]
+    keep = np.arange(levels) < kept[:, None]
+    draws = _probe_draws(probe.seed)[:2 * _PROBE_SAMPLES * levels].reshape(levels, 2, -1)
+    s = t + (1.0 - draws[:, 0]) * rho            # 1 - U in (0, 1]
     span = np.sqrt(rho)
     low = -np.minimum(span, x - grid.x_min)
     high = np.minimum(span, grid.x_max - x)
-    y = x + (low + (high - low) * draws[:, width:])
+    y = x + (low + (high - low) * draws[:, 1])
     w = np.asarray(surface.value_at(s, y), dtype=float)
-    num = (w - w0 - cand.time_slope * (s - t) - cand.gradient * (y - x)
-           - 0.5 * cand.curvature * (y - x) ** 2)
-    den = np.abs(s - t) + (y - x) ** 2
-    q = num / np.where(den > 0, den, 1.0)
-    if kind == "sub":
-        q = -q
+    dy = y - x
+    num = w - w0 - q * (s - t) - p * dy - 0.5 * pp * dy ** 2
+    den = np.abs(s - t) + dy ** 2
+    quot = num / np.where(den > 0, den, 1.0)
 
-    m = q.max(axis=1)                            # per-radius max quotient
-    margin = float(m.min())
+    m = quot.max(axis=2)                         # per-radius max quotient
+    margin = np.where(keep, m, np.inf).min(axis=1)
+    last = m[np.arange(len(m)), kept - 1]
     m_tol = probe.member_tol * scale
     nm_tol = probe.nonmember_tol * scale
-    if m[-1] <= m_tol or (margin <= m_tol and m[-1] <= m[0] + m_tol):
-        verdict = "member"
-    elif margin >= nm_tol:
-        verdict = "non-member"
-    else:
-        verdict = "inconclusive"
-    return MembershipResult(verdict=verdict, margin=margin)
+    member = (last <= m_tol) | ((margin <= m_tol) & (last <= m[:, 0] + m_tol))
+    verdict = np.where(member, "member",
+                       np.where(margin >= nm_tol, "non-member", "inconclusive"))
+    if shape:
+        return MembershipResult(verdict=verdict.reshape(shape),
+                                margin=margin.reshape(shape))
+    return MembershipResult(verdict=str(verdict[0]), margin=float(margin[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,40 +378,31 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
 # ---------------------------------------------------------------------------
 
 def _membership_along_paths(surface, ensemble, candidate_triple, config):
-    """Stratified membership sample over (time, path) points."""
+    """Stratified membership sample over (time, path) points: one probe call
+    per sampled time, off-box states counted as skipped."""
     grid = ensemble.grid
-    steps = grid.steps
-    nodes = grid.nodes
-    n_times = min(config.membership_times, steps)
-    idx = np.unique(np.linspace(0, steps - 1, n_times).astype(int))
+    box = surface.grid
+    n_times = min(config.membership_times, grid.steps)
+    idx = np.unique(np.linspace(0, grid.steps - 1, n_times).astype(int))
     gen = np.random.Generator(np.random.Philox(key=(config.seed + 0xA11) & (2**63 - 1)))
     counts = {"member": 0, "non-member": 0, "inconclusive": 0, "skipped": 0}
-    seen = {}
     worst = 0.0
     for i in idx:
         paths = gen.integers(0, ensemble.n_paths, size=min(
             config.membership_paths, ensemble.n_paths))
-        s = float(nodes[i])
-        if s >= surface.grid.horizon:
+        s = float(grid.nodes[i])
+        if s >= box.horizon:
             continue
-        for m in paths:
-            x = float(ensemble.states[m, i])
-            if not (surface.grid.x_min <= x <= surface.grid.x_max):
-                counts["skipped"] += 1
-                continue
-            key = (round(s, 12), round(x, 12))
-            if key in seen:
-                verdict, margin = seen[key]
-            else:
-                q, p, pp = candidate_triple(s, x)
-                res = check_superdiff_membership(
-                    surface,
-                    SuperdiffCandidate(float(q), float(p), float(pp), s, x),
-                    config.probe)
-                verdict, margin = res.verdict, res.margin
-                seen[key] = (verdict, margin)
-            counts[verdict] += 1
-            worst = max(worst, margin)
+        x = ensemble.states[paths, i]
+        inside = (box.x_min <= x) & (x <= box.x_max)
+        counts["skipped"] += int(np.count_nonzero(~inside))
+        x = x[inside]
+        q, p, pp = candidate_triple(s, x)
+        res = check_superdiff_membership(
+            surface, SuperdiffCandidate(q, p, pp, s, x), config.probe)
+        for verdict in ("member", "non-member", "inconclusive"):
+            counts[verdict] += int(np.count_nonzero(res.verdict == verdict))
+        worst = float(res.margin.max(initial=worst))
     return counts, worst
 
 
@@ -591,27 +581,22 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
     n = min(config.node_samples, (grid.t_steps - 1) * (grid.x_steps - 1))
     ti = gen.integers(0, grid.t_steps, size=n)
     xj = gen.integers(1, grid.x_steps, size=n)
-    times, xs = grid.times, grid.xs
-    members = 0
-    inconclusive = 0
-    rejected = 0
+    s, x = grid.times[ti], grid.xs[xj]
+    q, p, pp = (np.broadcast_to(c, s.shape) for c in candidate_triple(s, x))
+    verdict = check_superdiff_membership(
+        surface, SuperdiffCandidate(q, p, pp, s, x), config.probe).verdict
+    rejected = int(np.count_nonzero(verdict == "non-member"))
+    inconclusive = int(np.count_nonzero(verdict == "inconclusive"))
+    member = np.flatnonzero(verdict == "member")
+    members = len(member)
     worst_gap = -math.inf
-    for i, j in zip(ti, xj):
-        s, x = float(times[i]), float(xs[j])
-        q, p, pp = (float(c) for c in candidate_triple(s, x))
-        res = check_superdiff_membership(
-            surface, SuperdiffCandidate(q, p, pp, s, x), config.probe)
-        if res.verdict == "non-member":
-            rejected += 1
-            continue
-        if res.verdict == "inconclusive":
-            inconclusive += 1
-            continue
-        members += 1
-        w = float(surface.values[i, j])
-        barrier = float(np.asarray(model.obstacle(s, x), dtype=float))
-        inf_val, _ = inf_hamiltonian(model, s, x, w, p, pp)
-        gap = (w - barrier) - (q + inf_val)
+    # model coefficients take a scalar time: one Hamiltonian infimum per node
+    for k in member:
+        sk, xk = float(s[k]), float(x[k])
+        w = float(surface.values[ti[k], xj[k]])
+        barrier = float(np.asarray(model.obstacle(sk, xk), dtype=float))
+        inf_val, _ = inf_hamiltonian(model, sk, xk, w, float(p[k]), float(pp[k]))
+        gap = (w - barrier) - (float(q[k]) + inf_val)
         worst_gap = max(worst_gap, gap)
     checked = members + inconclusive
     if members == 0:

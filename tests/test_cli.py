@@ -280,7 +280,8 @@ CONDITION_TERMS = {
 }
 
 
-@pytest.mark.parametrize("argv, names", [
+# one small verify run per mode, with the conditions its report lists
+VERIFY_RUNS = [
     ([*FAST_MC, "--set", "verify.battery_random=1"],
      ["battery-lower-bound", "law-achieves-value", "law-regularity"]),
     (["--set", "model.name=example-viscosity", "--set", "verify.mode=viscosity",
@@ -294,7 +295,11 @@ CONDITION_TERMS = {
       "--set", "verify.membership_times=4", "--set", "verify.node_samples=8"],
      ["pointwise-lower-inequality", "table-membership-on-paths",
       "martingale-slope-match", "integral-optimality"]),
-], ids=["classical", "viscosity", "feedback"])
+]
+VERIFY_MODES = ["classical", "viscosity", "feedback"]
+
+
+@pytest.mark.parametrize("argv, names", VERIFY_RUNS, ids=VERIFY_MODES)
 def test_report_json_carries_condition_terms(tmp_path, capsys, argv, names):
     code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *argv])
     assert code in (0, 1)
@@ -307,6 +312,28 @@ def test_report_json_carries_condition_terms(tmp_path, capsys, argv, names):
             # a band condition's slack is rebuilt from its terms
             assert c["slack"] == (terms["gap"] - 3.0 * terms["stderr"]
                                   - terms.get("bias_budget", 0.0))
+
+
+@pytest.mark.parametrize("argv, names", VERIFY_RUNS, ids=VERIFY_MODES)
+def test_verify_manifest_times_its_stages(tmp_path, capsys, argv, names):
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *argv])
+    assert code in (0, 1)
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings_s"]
+    assert set(timings) == {"surface", "law", "route", "total"}
+    # each entry is rounded to 1 ms, so the sum may exceed the total by 2 ms
+    assert timings["surface"] + timings["law"] + timings["route"] \
+        <= timings["total"] + 0.002
+
+
+def test_viscosity_battery_takes_every_random_control(tmp_path, capsys):
+    argv, _ = VERIFY_RUNS[VERIFY_MODES.index("viscosity")]
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *argv,
+                              "--set", "verify.battery_random=8",
+                              "--set", "mc.paths=200", "--set", "mc.steps=20"])
+    assert code in (0, 1)
+    rows = json.loads((tmp_path / "report.json").read_text())["extras"]["battery"]
+    assert [r["control"] for r in rows if r["control"].startswith("random:")] == [
+        f"random:{k}" for k in range(8)]
 
 
 def test_csv_reproducibility(tmp_path, capsys):

@@ -380,9 +380,6 @@ def test_grid_csv_matches_per_element_repr(tmp_path):
         expected += repr(float(t)) + "," + ",".join(repr(float(v)) for v in rows[i]) + "\n"
     assert path.read_bytes() == expected.encode()
 
-    write_grid_csv(path, comments, grid, None)
-    assert path.read_bytes() == b"# first\n# second: 2\n"
-
 
 # ---------------------------------------------------------------------------
 # Implicit scheme: pinned values and refusals

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rfbsde import (ConfigError, KinkColumnError, OpenLoopControl,
 from rfbsde import verify
 from rfbsde.hjb import SpaceTimeGrid, candidate_surface, solve_obstacle_hjb
 from rfbsde.model import example_classical, example_viscosity, zero_model
+from rfbsde.simulate import TimeGrid, simulate_paths
 from rfbsde.synthesis import FeedbackLaw, extract_feedback
 from rfbsde.verify import (MembershipProbe, MembershipResult,
                            SuperdiffCandidate, VerifyConfig,
@@ -109,20 +112,7 @@ def test_membership_taylor_triple_both_sides(classical_candidate):
     wx = math.exp(2.0 * (1.0 - t0))
     cand = SuperdiffCandidate(wt, wx, 0.0, t0, x0)
     assert check_superdiff_membership(
-        classical_candidate, cand, PROBE, kind="super").verdict == "member"
-    assert check_superdiff_membership(
-        classical_candidate, cand, PROBE, kind="sub").verdict == "member"
-
-
-def test_membership_containment_two_sided_implies_right(classical_candidate):
-    t0, x0 = 0.4, 2.0
-    wt = -2.0 * x0 * math.exp(2.0 * (1.0 - t0))
-    wx = math.exp(2.0 * (1.0 - t0))
-    cand = SuperdiffCandidate(wt, wx, 0.0, t0, x0)
-    both = check_superdiff_membership(classical_candidate, cand, PROBE, side="both")
-    right = check_superdiff_membership(classical_candidate, cand, PROBE, side="right")
-    if both.verdict == "member":
-        assert right.verdict == "member"
+        classical_candidate, cand, PROBE).verdict == "member"
 
 
 def test_membership_determinism(viscosity_candidate):
@@ -132,9 +122,9 @@ def test_membership_determinism(viscosity_candidate):
     assert a == b
 
 
-def _per_radius_membership(surface, cand, probe, kind, side):
-    """The probe as one draw and one surface evaluation per radius: the
-    batched probe must reproduce it bit for bit."""
+def _per_radius_membership(surface, cand, probe):
+    """The probe of one point as one draw and one surface evaluation per
+    radius: the batched probe must reproduce it bit for bit."""
     grid = surface.grid
     t, x = float(cand.t), float(cand.x)
     w0 = float(np.asarray(surface.value_at(t, x)))
@@ -152,9 +142,6 @@ def _per_radius_membership(surface, cand, probe, kind, side):
     for rho in radii:
         u = 1.0 - gen.random(verify._PROBE_SAMPLES)
         s = t + u * rho
-        if side == "both" and t > 0.0:
-            back = 1.0 - gen.random(verify._PROBE_SAMPLES)
-            s = np.concatenate([s, t - back * min(rho, t)])
         span = math.sqrt(rho)
         lo = min(span, x - grid.x_min)
         hi = min(span, grid.x_max - x)
@@ -164,8 +151,6 @@ def _per_radius_membership(surface, cand, probe, kind, side):
                - 0.5 * cand.curvature * (y - x) ** 2)
         den = np.abs(s - t) + (y - x) ** 2
         q = num / np.where(den > 0, den, 1.0)
-        if kind == "sub":
-            q = -q
         quotients.append(float(q.max()))
     m = np.array(quotients)
     margin = float(m.min())
@@ -191,42 +176,123 @@ def probe_surfaces(viscosity_candidate):
 
 
 @pytest.mark.parametrize("surface_id", ["exact-form", "candidate-grid", "computed"])
-@pytest.mark.parametrize("side", ["right", "both"])
-@pytest.mark.parametrize("kind", ["super", "sub"])
-def test_membership_batched_matches_per_radius(probe_surfaces, surface_id, kind, side):
+def test_membership_batched_matches_per_radius(probe_surfaces, surface_id):
     surface = probe_surfaces[surface_id]
     g = surface.grid
     # interior, kink, t = 0, near the horizon (fewer radii), both box edges
     points = [(0.3, 0.5), (0.3, 0.0), (0.0, -0.25), (0.97, 0.2), (0.999, -0.1),
               (0.5, g.x_min), (0.5, g.x_max), (0.9, g.x_max)]
     triples = [(0.0, 1.0, 0.0), (2.0, 1.5, -1.0), (-3.0, 0.5, 4.0)]
+    ts, xs = np.array(points).T
+    qs, ps, pps = np.array(triples).T
+    # one array call: points along the first axis, triples along the second
+    batch = SuperdiffCandidate(qs, ps, pps, ts[:, None], xs[:, None])
     verdicts = set()
     for probe in (PROBE, MembershipProbe(seed=123, member_tol=0.1)):
-        for t, x in points:
-            for q, p, pp in triples:
-                cand = SuperdiffCandidate(q, p, pp, t, x)
-                got = check_superdiff_membership(surface, cand, probe, kind=kind, side=side)
-                assert got == _per_radius_membership(surface, cand, probe, kind, side)
-                verdicts.add(got.verdict)
+        together = check_superdiff_membership(surface, batch, probe)
+        assert together.verdict.shape == together.margin.shape == (len(points), len(triples))
+        for (i, (t, x)), (j, (q, p, pp)) in itertools.product(enumerate(points),
+                                                               enumerate(triples)):
+            cand = SuperdiffCandidate(q, p, pp, t, x)
+            want = _per_radius_membership(surface, cand, probe)
+            one = check_superdiff_membership(surface, cand, probe)
+            assert isinstance(one.verdict, str) and isinstance(one.margin, float)
+            assert one == want
+            assert (together.verdict[i, j], together.margin[i, j]) \
+                == (want.verdict, want.margin)
+            verdicts.add(want.verdict)
     assert {"member", "non-member"} <= verdicts
 
 
-@pytest.mark.parametrize("x, side, message", [
-    (7.0, "right", "outside the box"),
-    (-1.0 - 1e-12, "right", "outside the box"),
-    (math.inf, "right", "outside the box"),
-    (math.nan, "right", "outside the box"),
-    (0.5, "left", "side must be 'right' or 'both'"),
-], ids=["above", "just-below", "inf", "nan", "left-side"])
+@pytest.mark.parametrize("x, message", [
+    (7.0, "outside the box"),
+    (-1.0 - 1e-12, "outside the box"),
+    (math.inf, "outside the box"),
+    (math.nan, "outside the box"),
+], ids=["above", "just-below", "inf", "nan"])
 def test_membership_refuses_bad_state_or_side(viscosity_candidate, monkeypatch,
-                                             x, side, message):
+                                             x, message):
     def no_draws(seed):
         raise AssertionError("probe drew before refusing")
     monkeypatch.setattr(verify, "_probe_draws", no_draws)
     with pytest.raises(ConfigError, match=message):
         check_superdiff_membership(viscosity_candidate,
                                    SuperdiffCandidate(0.0, 1.0, 0.0, 0.3, x),
-                                   PROBE, side=side)
+                                   PROBE)
+    # one bad state refuses the whole array
+    with pytest.raises(ConfigError, match=message):
+        check_superdiff_membership(viscosity_candidate,
+                                   SuperdiffCandidate(0.0, 1.0, 0.0, 0.3, [0.5, x]),
+                                   PROBE)
+
+
+def _per_point_membership_along_paths(surface, ensemble, candidate_triple, config):
+    """The path sample as one probe call per (time, path) point."""
+    grid = ensemble.grid
+    n_times = min(config.membership_times, grid.steps)
+    idx = np.unique(np.linspace(0, grid.steps - 1, n_times).astype(int))
+    gen = np.random.Generator(np.random.Philox(key=(config.seed + 0xA11) & (2**63 - 1)))
+    counts = {"member": 0, "non-member": 0, "inconclusive": 0, "skipped": 0}
+    worst = 0.0
+    for i in idx:
+        paths = gen.integers(0, ensemble.n_paths, size=min(
+            config.membership_paths, ensemble.n_paths))
+        s = float(grid.nodes[i])
+        if s >= surface.grid.horizon:
+            continue
+        for m in paths:
+            x = float(ensemble.states[m, i])
+            if not (surface.grid.x_min <= x <= surface.grid.x_max):
+                counts["skipped"] += 1
+                continue
+            q, p, pp = (float(c) for c in candidate_triple(s, x))
+            res = check_superdiff_membership(
+                surface, SuperdiffCandidate(q, p, pp, s, x), config.probe)
+            counts[res.verdict] += 1
+            worst = max(worst, res.margin)
+    return counts, worst
+
+
+def test_membership_along_paths_matches_per_point(probe_surfaces):
+    # a [-1, 1] box: paths from 0.5 under control 1 leave it
+    surface = probe_surfaces["candidate-grid"]
+    model = example_viscosity()
+    grid = TimeGrid(0.0, 1.0, 40)
+    ensemble = simulate_paths(model, 0.0, 0.5, OpenLoopControl.constant(1.0),
+                              grid, 300, 17)
+    config = VerifyConfig(seed=17, membership_times=12, membership_paths=48,
+                          probe=PROBE)
+    tables = tables_from_surface(surface)
+
+    def triple(s, x):                 # curvature off by x: some points fail
+        q, p, pp = tables(s, x)
+        return q, p, pp - x
+    got = verify._membership_along_paths(surface, ensemble, triple, config)
+    want = _per_point_membership_along_paths(surface, ensemble, triple, config)
+    assert got == want
+    counts, worst = got
+    assert min(counts.values()) > 0   # every verdict, and off-box points
+    assert worst > 0.0
+
+
+def test_both_membership_samples_call_the_module_probe(monkeypatch):
+    # a tracer that rebinds verify.check_superdiff_membership sees every probe
+    callers = []
+    probe = verify.check_superdiff_membership
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return probe(*args, **kwargs)
+    monkeypatch.setattr(verify, "check_superdiff_membership", counting)
+    model = example_viscosity()
+    grid = SpaceTimeGrid(horizon=1.0, x_min=-2.0, x_max=2.0, t_steps=40, x_steps=40)
+    surface = solve_obstacle_hjb(model, grid, scheme="implicit")
+    config = VerifyConfig(n_paths=200, steps=10, seed=3, membership_times=3,
+                          membership_paths=8, node_samples=8)
+    verify_feedback_optimality(model, surface, extract_feedback(surface, model),
+                               tables_from_surface(surface), 0.0, 0.5, config)
+    assert callers.count("verify_feedback_optimality") == 1
+    assert callers.count("_membership_along_paths") == 3
 
 
 # ---------------------------------------------------------------------------
