@@ -59,10 +59,6 @@ DEFAULTS = {
     "output": {"directory": "out"},
 }
 
-_CANDIDATE_FOR = {"example-classical": "candidate-classical",
-                  "example-viscosity": "candidate-viscosity"}
-_SURFACES = ("computed", "candidate")
-
 
 def _merge(base, update, path=""):
     out = copy.deepcopy(base)
@@ -74,6 +70,8 @@ def _merge(base, update, path=""):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{where}' must be a mapping")
             out[key] = _merge(base[key], val, where)
+        elif isinstance(val, dict):
+            raise ConfigError(f"config key '{where}' takes a value, not a mapping")
         else:
             out[key] = val
     return out
@@ -93,20 +91,15 @@ def _coerce(text):
 
 
 def _apply_overrides(cfg, pairs, prefix=""):
+    """``cfg`` with each dotted ``key=value`` pair merged in by :func:`_merge`."""
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"override '{pair}' must look like key=value")
         key, val = pair.split("=", 1)
-        key = prefix + key
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config key '{key}'")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key '{key}'")
-        node[parts[-1]] = _coerce(val)
+        update = _coerce(val)
+        for part in reversed((prefix + key).split(".")):
+            update = {part: update}
+        cfg = _merge(cfg, update)
     return cfg
 
 
@@ -122,8 +115,8 @@ def load_config(path, sets=None, tols=None, seed=None, out=None, base=None):
         if not isinstance(user, dict):
             raise ConfigError("config root must be a mapping")
         cfg = _merge(cfg, user)
-    _apply_overrides(cfg, sets)
-    _apply_overrides(cfg, tols, prefix="tolerances.")
+    cfg = _apply_overrides(cfg, sets)
+    cfg = _apply_overrides(cfg, tols, prefix="tolerances.")
     if seed is not None:
         cfg["mc"]["seed"] = int(seed)
     if out is not None:
@@ -277,8 +270,6 @@ def _verify_config(cfg):
                         solver=_solver_config(cfg),
                         bias_budget=_num(cfg, "tolerances.bias_budget"),
                         z_tol=_num(cfg, "tolerances.z_match"),
-                        battery_random=_num(cfg, "verify.battery_random", int),
-                        battery_switches=_num(cfg, "verify.battery_switches", int),
                         membership_times=_num(cfg, "verify.membership_times", int),
                         membership_paths=_num(cfg, "verify.membership_paths", int),
                         node_samples=_num(cfg, "verify.node_samples", int),
@@ -292,12 +283,11 @@ def _pde_grid(cfg, model):
                          x_steps=_num(cfg, "pde.x_steps", int))
 
 
-def _surface_for(cfg, model, choice):
-    """The catalog closed form if ``choice`` is 'candidate' and one exists,
-    else the PDE solve."""
-    name = _CANDIDATE_FOR.get(model.name)
-    if choice == "candidate" and name is not None:
-        return candidate_surface(name, _pde_grid(cfg, model))
+def _surface_for(cfg, model, key):
+    """The model's closed-form surface if the config ``key`` is 'candidate'
+    (refused for a model without one), else the PDE solve."""
+    if _choice(cfg, key, ("computed", "candidate")) == "candidate":
+        return candidate_surface(model, _pde_grid(cfg, model))
     p = cfg["pde"]
     level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
     return solve_obstacle_hjb(model, _pde_grid(cfg, model),
@@ -315,12 +305,9 @@ def cmd_solve(cfg):
     run = _Run(cfg, "solve")
     try:
         model = _model_from(cfg)
-        grid = _pde_grid(cfg, model)
-        choice = _choice(cfg, "pde.surface", _SURFACES)
-        if choice == "candidate" and model.name not in _CANDIDATE_FOR:
-            raise ConfigError(f"no candidate surface for model '{model.name}'")
         with run.stage("solve"):
-            surface = _surface_for(cfg, model, choice)
+            surface = _surface_for(cfg, model, "pde.surface")
+        grid = surface.grid
         run.write_behind(write_surface_csv, surface, run.path("surface.csv"))
 
         # one Hamiltonian pass serves the residual and the law; each table
@@ -378,7 +365,7 @@ def cmd_cost(cfg):
                                   _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                   _solver_config(cfg))
         elif method == "feedback":
-            surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
+            surface = _surface_for(cfg, model, "verify.surface")
             law = extract_feedback(surface, model)
             grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
             est = evaluate_feedback(model, law, start_time, start_state, grid,
@@ -424,6 +411,8 @@ def cmd_verify(cfg):
     start_state = _num(cfg, "mc.start_state")
     triple = tuple(_num(cfg, f"verify.triple.{k}")
                    for k in ("time_slope", "gradient", "curvature"))
+    battery_sizes = (_num(cfg, "verify.battery_random", int),
+                     _num(cfg, "verify.battery_switches", int))
     law = None
     if mode == "viscosity":
         u0 = model.control_set.lo if v["control"] is None \
@@ -432,7 +421,7 @@ def cmd_verify(cfg):
         law = FeedbackLaw.constant(_control(cfg, "verify.constant_law", model),
                                    model.control_set)
     with run.stage("surface"):
-        surface = _surface_for(cfg, model, _choice(cfg, "verify.surface", _SURFACES))
+        surface = _surface_for(cfg, model, "verify.surface")
     with run.stage("law"):
         if mode != "viscosity" and law is None:
             law = extract_feedback(surface, model)
@@ -445,8 +434,7 @@ def cmd_verify(cfg):
                                                 start_time, start_state, vcfg)
         else:
             battery = build_control_battery(model, start_time, vcfg.seed,
-                                            vcfg.battery_random,
-                                            vcfg.battery_switches)
+                                            *battery_sizes)
             if mode == "classical":
                 report = verify_classical(model, surface, start_time, start_state,
                                           law, battery, vcfg)

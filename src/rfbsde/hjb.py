@@ -90,9 +90,9 @@ class SpaceTimeGrid:
 class ValueSurface:
     """Value function samples on a space-time grid with derivative tables.
 
-    ``exact_form`` is set for closed-form candidates imported from the
-    catalog; when present, off-grid evaluation uses the form itself instead
-    of bilinear interpolation.  ``kink_columns`` are state columns where the
+    ``exact_form`` is set for a model's closed-form value function (see
+    :func:`candidate_surface`); when present, off-grid evaluation uses the
+    form itself instead of bilinear interpolation.  ``kink_columns`` are state columns where the
     surface is declared non-differentiable: :meth:`expansion_tables` takes
     the one-sided slope midpoint and zero curvature there, :func:`residual`
     reports NaN there, and the classical verification route refuses the
@@ -277,7 +277,9 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     positive ``penalty_level`` the hard projection onto the barrier is
     replaced by the soft penalty resolve, which is how the penalty
     approximation of the variational inequality is exposed for convergence
-    studies; the provenance then ends in ``penalty=<level>``.  Bad arguments are refused before any model call.
+    studies; the provenance then ends in ``penalty=<level>``.
+
+    Bad arguments are refused before any model call.
     """
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
@@ -469,45 +471,19 @@ def residual(surface, model, minima=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Closed-form candidate surfaces
-# ---------------------------------------------------------------------------
-
-def _classical_form(horizon):
-    def form(t, x):
-        return np.asarray(x, dtype=float) * np.exp(2.0 * (horizon - np.asarray(t, dtype=float)))
-    return form
-
-
-def _viscosity_form(horizon):
-    def form(t, x):
-        x = np.asarray(x, dtype=float)
-        grown = x * np.exp(3.0 * (horizon - np.asarray(t, dtype=float)))
-        out = np.where(x > 0.0, x, grown)
-        return out if out.shape else float(out)
-    return form
-
-
-CANDIDATE_CATALOG = {
-    "candidate-classical": (_classical_form, ()),
-    "candidate-viscosity": (_viscosity_form, (0.0,)),
-}
-
-
-def candidate_surface(name, grid):
-    """Sample a catalog closed form onto a grid, keeping the exact form."""
-    try:
-        factory, kinks = CANDIDATE_CATALOG[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown candidate '{name}'; known: {sorted(CANDIDATE_CATALOG)}") from None
-    form = factory(grid.horizon)
+def candidate_surface(model, grid):
+    """Sample the model's closed-form value function onto a grid, keeping
+    the form for off-grid evaluation."""
+    if model.value_form is None:
+        raise ConfigError(f"no candidate surface for model '{model.name}'")
+    if abs(grid.horizon - model.horizon) > 1e-12:
+        raise ConfigError("grid horizon must match the model horizon")
     tt, xx = np.meshgrid(grid.times, grid.xs, indexing="ij")
-    values = np.asarray(form(tt, xx), dtype=float)
+    values = np.asarray(model.value_form(tt, xx), dtype=float)
     return ValueSurface(grid=grid, values=values,
-                        provenance=f"closed-form candidate '{name}'",
-                        kink_columns=grid.columns_near(kinks), exact_form=form,
-                        model_name=name)
+                        provenance=f"closed-form candidate of model '{model.name}'",
+                        kink_columns=grid.columns_near(model.value_kinks),
+                        exact_form=model.value_form, model_name=model.name)
 
 
 def write_grid_csv(path, comments, grid, rows):

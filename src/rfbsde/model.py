@@ -15,7 +15,7 @@ evaluated over controls x states in one call.  Time is always a scalar.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -100,8 +100,10 @@ class ControlModel:
     horizon: float
     declared_assumptions: Mapping = field(default_factory=dict)
     # x-locations where the value function of this instance is known to be
-    # non-differentiable (used to flag kink columns on solved surfaces).
+    # non-differentiable (the kink columns of every surface of this model).
     value_kinks: tuple = ()
+    # closed-form value function (t, x) -> W, when one is known
+    value_form: Optional[Callable] = None
 
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
@@ -147,6 +149,10 @@ class ProbeGrid:
     time_bounds: tuple
     state_bounds: tuple
     points: int = 9
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ConfigError(f"probe grid needs at least 2 points, got {self.points}")
 
     def axis(self, bounds):
         return np.linspace(bounds[0], bounds[1], self.points)
@@ -287,7 +293,8 @@ def example_classical(horizon=1.0, control_points=5):
     State grows at rate (state + control) with proportional noise; the running
     cost accrues value-plus-control; the terminal cost is the state itself and
     the upper barrier is the state scaled by a constant fixed at construction
-    from the horizon.  Controls live in [0, 1].
+    from the horizon.  Controls live in [0, 1].  The value function is
+    x e^{2(T - t)}, recorded in ``value_form``.
     """
     scale = math.exp(2.0 * horizon)
 
@@ -300,6 +307,9 @@ def example_classical(horizon=1.0, control_points=5):
     def obstacle(r, x):
         return np.asarray(x, dtype=float) * scale
 
+    def value_form(t, x):
+        return np.asarray(x, dtype=float) * np.exp(2.0 * (horizon - np.asarray(t, dtype=float)))
+
     return ControlModel(
         name="example-classical",
         drift=drift,
@@ -310,6 +320,7 @@ def example_classical(horizon=1.0, control_points=5):
         control_set=ControlSet.interval(0.0, 1.0, control_points),
         horizon=float(horizon),
         declared_assumptions={"A1": False, "A2": True, "A3": True, "A4": False},
+        value_form=value_form,
     )
 
 
@@ -319,7 +330,8 @@ def example_viscosity(horizon=1.0, control_points=5):
     Multiplicative controlled drift with proportional noise, a running cost
     that discounts the absolute value, terminal cost equal to the state and a
     piecewise barrier (state above zero, zero below).  Controls live in [1, 2].
-    The value function is non-differentiable along x = 0, recorded in
+    The value function is x above zero and x e^{3(T - t)} below, recorded in
+    ``value_form``; it is non-differentiable along x = 0, recorded in
     ``value_kinks``.
     """
 
@@ -333,6 +345,12 @@ def example_viscosity(horizon=1.0, control_points=5):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, x, 0.0)
 
+    def value_form(t, x):
+        x = np.asarray(x, dtype=float)
+        grown = x * np.exp(3.0 * (horizon - np.asarray(t, dtype=float)))
+        out = np.where(x > 0.0, x, grown)
+        return out if out.shape else float(out)
+
     return ControlModel(
         name="example-viscosity",
         drift=drift,
@@ -344,6 +362,7 @@ def example_viscosity(horizon=1.0, control_points=5):
         horizon=float(horizon),
         declared_assumptions={"A1": False, "A2": True, "A3": False, "A4": False},
         value_kinks=(0.0,),
+        value_form=value_form,
     )
 
 

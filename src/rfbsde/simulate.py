@@ -164,6 +164,8 @@ def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed)
     are rejected before any path is generated.  A constant control is one
     shared column, recorded as a read-only broadcast over the steps.
     """
+    if n_paths < 1:
+        raise ConfigError(f"need at least one path, got {n_paths}")
     if not model.control_set.contains(control.all_values(grid)):
         raise SimulationError("control takes values outside the control set")
     if control.kind == "constant":
@@ -183,5 +185,7 @@ def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, see
     recorded on the ensemble, so downstream solvers treat the result exactly
     like an open-loop run.
     """
+    if n_paths < 1:
+        raise ConfigError(f"need at least one path, got {n_paths}")
     return _euler(model, start_time, start_state, grid, n_paths, seed,
                   lambda i, t, x: law_controls(model, law, t, x))

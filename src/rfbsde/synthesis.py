@@ -41,10 +41,6 @@ class FeedbackLaw:
         return cls(table=None, grid=None, control_set=control_set,
                    provenance=f"constant({value})", value=float(value))
 
-    @property
-    def rule(self):
-        return "constant" if self.table is None else "nearest"
-
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         if self.table is None:
@@ -128,6 +124,7 @@ def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
 
 
 def write_law_csv(law, path):
-    """Control table dump with the lookup rule recorded in the header."""
+    """Control table dump of an extracted law, with the nearest-node lookup
+    rule recorded in the header."""
     write_grid_csv(path, [f"provenance: {law.provenance}",
-                          f"rule: {law.rule} tie_break: smallest"], law.grid, law.table)
+                          "rule: nearest tie_break: smallest"], law.grid, law.table)

@@ -156,8 +156,6 @@ class VerifyConfig:
     solver: SolverConfig = SolverConfig()
     bias_budget: float = 0.05
     z_tol: float = 0.1
-    battery_random: int = 20
-    battery_switches: int = 8
     membership_times: int = 16
     membership_paths: int = 64
     node_samples: int = 64
@@ -325,7 +323,7 @@ def _battery_condition(model, w0, start_time, start_state, battery, grid,
 # ---------------------------------------------------------------------------
 
 def verify_classical(model, surface, start_time, start_state, candidate_law,
-                     battery=None, config=VerifyConfig()):
+                     battery, config=VerifyConfig()):
     """Certification against a smooth value surface.
 
     Conditions: (A) the surface value at the initial pair lower-bounds every
@@ -337,10 +335,6 @@ def verify_classical(model, surface, start_time, start_state, candidate_law,
         raise KinkColumnError(
             "surface has declared kink columns; this route needs a smooth "
             "surface -- use verify_viscosity_conditions instead")
-    if battery is None:
-        battery = build_control_battery(model, start_time, config.seed,
-                                        config.battery_random,
-                                        config.battery_switches)
     w0 = float(np.asarray(surface.value_at(start_time, start_state)))
     grid = TimeGrid(start_time, model.horizon, config.steps)
     cond_a, details = _battery_condition(model, w0, start_time, start_state,

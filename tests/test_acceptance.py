@@ -123,7 +123,7 @@ def test_criterion_3_classical_verification(classical_model, criterion1_surface,
 def test_criterion_4_viscosity_verification(viscosity_model):
     grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
                          t_steps=100, x_steps=100)
-    surface = candidate_surface("candidate-viscosity", grid)
+    surface = candidate_surface(viscosity_model, grid)
     cfg = VerifyConfig(n_paths=2000, steps=100, seed=7)
     report = verify_viscosity_conditions(
         viscosity_model, surface, 0.0, 0.0, OpenLoopControl.constant(1.0),
@@ -215,11 +215,11 @@ def test_criterion_7_oracle_equivalence(classical_model, criterion3_cost):
 def test_criterion_8_regularity_checks():
     cl_grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
                             t_steps=200, x_steps=200)
-    cl = check_surface_regularity(candidate_surface("candidate-classical",
+    cl = check_surface_regularity(candidate_surface(example_classical(),
                                                     cl_grid), 0.1)
     vi_grid = SpaceTimeGrid(horizon=1.0, x_min=-5.0, x_max=5.0,
                             t_steps=200, x_steps=200)
-    vi = check_surface_regularity(candidate_surface("candidate-viscosity",
+    vi = check_surface_regularity(candidate_surface(example_viscosity(),
                                                     vi_grid), 0.1)
     ok = (cl.passed_time and cl.passed_semiconcave
           and vi.passed_time and vi.passed_semiconcave

@@ -190,6 +190,51 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert err.startswith("ERROR[config]")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a value where a section belongs, and a mapping where a value belongs
+    (["--set", "pde=3"], "config key 'pde' must be a mapping"),
+    (["--set", "mc=none"], "config key 'mc' must be a mapping"),
+    (["--set", "output.directory.x=1"],
+     "config key 'output.directory' takes a value, not a mapping"),
+    (["--tol", "membership.x=1"],
+     "config key 'tolerances.membership' takes a value, not a mapping"),
+], ids=["section-int", "section-none", "output-mapping", "tol-mapping"])
+def test_override_shape_refused(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *argv])
+    assert code == 2
+    assert err == f"ERROR[config]: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cost", "--set", "mc.paths=0"], "need at least one path, got 0"),
+    (["cost", "--set", "mc.paths=-5"], "need at least one path, got -5"),
+    (["cost", "--set", "cost.method=feedback", "--set", "mc.paths=0", *FAST_PDE],
+     "need at least one path, got 0"),
+    (["assumptions", "--set", "assumptions.points=0"],
+     "probe grid needs at least 2 points, got 0"),
+    (["assumptions", "--set", "assumptions.points=1"],
+     "probe grid needs at least 2 points, got 1"),
+], ids=["paths-0", "paths-negative", "feedback-paths-0", "points-0", "points-1"])
+def test_bad_sizes_refused(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert err == f"ERROR[config]: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--set", "pde.surface=candidate"],
+    ["cost", "--set", "cost.method=feedback"],     # verify.surface defaults to candidate
+    ["verify"],
+], ids=["solve", "cost-feedback", "verify"])
+def test_candidate_refused_for_model_without_form(tmp_path, capsys, argv):
+    # no command falls back to a PDE solve: each refuses the same way
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path),
+                                "--set", "model.name=zero"])
+    assert code == 2
+    assert err == "ERROR[config]: no candidate surface for model 'zero'\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["cost", "--set", "mc.paths=abc"], "mc.paths"),
     (["cost", "--set", "mc.paths=2.5"], "mc.paths"),

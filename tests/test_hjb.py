@@ -199,7 +199,7 @@ def test_residual_zero_model(zero_surface):
 def test_residual_classical_candidate(classical_model):
     grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
                          t_steps=100, x_steps=100)
-    cand = candidate_surface("candidate-classical", grid)
+    cand = candidate_surface(classical_model, grid)
     res = residual(cand, classical_model)
     finite = np.abs(res[np.isfinite(res)])
     assert finite.max() <= grid.dt + grid.dx ** 2
@@ -208,7 +208,7 @@ def test_residual_classical_candidate(classical_model):
 def test_residual_viscosity_candidate_branchwise(viscosity_model):
     grid = SpaceTimeGrid(horizon=1.0, x_min=-5.0, x_max=5.0,
                          t_steps=100, x_steps=100)
-    cand = candidate_surface("candidate-viscosity", grid)
+    cand = candidate_surface(viscosity_model, grid)
     res = residual(cand, viscosity_model)
     norm = 1.0 + np.abs(cand.values)
     scaled = np.abs(res) / norm
@@ -228,22 +228,23 @@ def test_residual_viscosity_candidate_branchwise(viscosity_model):
 def test_candidate_surface_values_and_form():
     grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
                          t_steps=10, x_steps=10)
-    cand = candidate_surface("candidate-classical", grid)
+    cand = candidate_surface(example_classical(), grid)
     assert cand.exact_form is not None
     assert cand.value_at(0.0, 1.0) == pytest.approx(E2)
     assert cand.values[-1, 0] == pytest.approx(0.1)
 
 
-def test_candidate_unknown_name():
+def test_candidate_refuses_another_horizon():
+    # a model without a closed form is refused in test_model
     grid = SpaceTimeGrid(horizon=1.0, x_min=0.0, x_max=1.0, t_steps=4, x_steps=4)
-    with pytest.raises(ConfigError):
-        candidate_surface("candidate-bogus", grid)
+    with pytest.raises(ConfigError, match="horizon"):
+        candidate_surface(example_classical(horizon=2.0), grid)
 
 
 def test_derivative_accessor_matches_closed_form():
     grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
                          t_steps=200, x_steps=100)
-    cand = candidate_surface("candidate-classical", grid)
+    cand = candidate_surface(example_classical(), grid)
     i, j = 100, 50
     wt, wx, wxx = (float(table[i, j]) for table in cand.expansion_tables())
     t, x = grid.times[i], grid.xs[j]
@@ -255,7 +256,7 @@ def test_derivative_accessor_matches_closed_form():
 def test_kink_column_takes_slope_midpoint():
     grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
                          t_steps=50, x_steps=40)
-    cand = candidate_surface("candidate-viscosity", grid)
+    cand = candidate_surface(example_viscosity(), grid)
     (kink,) = cand.kink_columns
     _, wx, wxx = cand.expansion_tables()
     t = grid.times[10]
@@ -478,7 +479,7 @@ def test_kinked_derivative_tables_pinned():
     # a kinked policy-iteration surface and a smooth explicit one; kink
     # columns take the slope midpoint and zero curvature
     cases = (
-        (candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
+        (candidate_surface(example_viscosity(), SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
          ("27a8b85ffe3a362af32942403c1e06ced73b81ce4a8f6a472e00f6c0d454bfe0",
           "885199c3991adf60ddf9fedaf52e036ecb352828b49eef6a5d347882eebed581",
           "ba255fa8f3b9c85eebb85f6801bdfebb0c58923ea2cf827c4de6f519f8f200f3")),
@@ -504,7 +505,7 @@ def test_kinked_derivative_tables_pinned():
      ("f30c14075880eedefa6ebb0a2cae6b1f0dbaf07c53340a30e90010513bf953ad",
       "eafd09ddcfb361310ef63e2dfb40116d5f30d5c52146d7412407f9a3d1e6a86f")),
     (example_viscosity,
-     lambda m: candidate_surface("candidate-viscosity", SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
+     lambda m: candidate_surface(m, SpaceTimeGrid(1.0, -1.0, 1.0, 50, 40)),
      ("eee351de3e8c9f2d0d863ce3c8a2fcd327b55343da860d1459e9f6b1b2481a00",
       "2969f0cfc5ba49482addb7ab3ff157c9c0eb4d29b1c5082b91b67c966e75eaf6")),
     (example_viscosity,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rfbsde import ConfigError, ControlSet, ProbeGrid, validate_assumptions
+from rfbsde import ConfigError, ControlSet, ProbeGrid, SpaceTimeGrid, validate_assumptions
 from rfbsde import model as model_module
+from rfbsde.hjb import candidate_surface
 from rfbsde.model import (ControlModel, build_model, example_classical,
                           example_viscosity, random_lipschitz_model, zero_model)
 
@@ -46,6 +47,18 @@ def test_catalog_builds(name):
     model = build_model(name, horizon=0.5)
     assert model.horizon == 0.5
     assert model.name == name
+
+
+@pytest.mark.parametrize("name", sorted(model_module.MODEL_CATALOG))
+def test_value_form_meets_terminal_cost(name):
+    # off the default horizon, so a form that ignores the model's horizon fails
+    model = build_model(name, horizon=0.7)
+    if model.value_form is None:
+        with pytest.raises(ConfigError, match=f"no candidate surface for model '{name}'"):
+            candidate_surface(model, SpaceTimeGrid(0.7, -5.0, 5.0, 4, 4))
+        return
+    xs = np.linspace(-5.0, 5.0, 41)
+    np.testing.assert_array_equal(model.value_form(0.7, xs), model.terminal(xs))
 
 
 def test_catalog_unknown_name():

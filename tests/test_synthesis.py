@@ -26,7 +26,6 @@ def viscosity_law(viscosity_surface, viscosity_model):
 
 def test_classical_law_identically_zero(classical_law):
     assert np.all(classical_law.table == 0.0)
-    assert classical_law.rule == "nearest"
 
 
 def test_u_independent_model_gets_smallest_control(classical_surface):

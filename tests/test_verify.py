@@ -29,19 +29,19 @@ PROBE = MembershipProbe(seed=5)
 def classical_candidate():
     grid = SpaceTimeGrid(horizon=1.0, x_min=0.1, x_max=5.0,
                          t_steps=200, x_steps=100)
-    return candidate_surface("candidate-classical", grid)
+    return candidate_surface(example_classical(), grid)
 
 
 @pytest.fixture(scope="module")
 def viscosity_candidate():
     grid = SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
                          t_steps=100, x_steps=100)
-    return candidate_surface("candidate-viscosity", grid)
+    return candidate_surface(example_viscosity(), grid)
 
 
 @pytest.fixture(scope="module")
 def small_config():
-    return VerifyConfig(n_paths=4000, steps=50, seed=11, battery_random=4)
+    return VerifyConfig(n_paths=4000, steps=50, seed=11)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def test_verify_classical_refuses_kinked_surface(viscosity_candidate, small_conf
 
 def test_verify_viscosity_exact_zero_slacks(viscosity_candidate):
     model = example_viscosity()
-    cfg = VerifyConfig(n_paths=500, steps=50, seed=11, battery_random=3)
+    cfg = VerifyConfig(n_paths=500, steps=50, seed=11)
     battery = build_control_battery(model, 0.0, 11, n_random=3)
     report = verify_viscosity_conditions(
         model, viscosity_candidate, 0.0, 0.0, OpenLoopControl.constant(1.0),
