@@ -18,6 +18,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -190,6 +191,9 @@ class _Run:
 
     def finish(self):
         self.join()
+        # ru_maxrss (KiB) of this process and of its largest joined child
+        peak = {k: round(resource.getrusage(who).ru_maxrss / 1024.0, 3) for k, who in
+                (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
         manifest = {
             "command": self.command,
             "config_sha256": _config_hash(self.cfg),
@@ -197,6 +201,7 @@ class _Run:
             "timings_s": {**{k: round(v, 3) for k, v in self.timings.items()},
                           "total": round(time.time() - self._t0, 3)},
             "version": __version__,
+            "peak_rss_mib": peak,
             **self.extra,
         }
         p = self.out / "manifest.json"

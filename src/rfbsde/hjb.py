@@ -138,8 +138,15 @@ class ValueSurface:
         the edges; at a declared kink column the gradient table takes the
         midpoint of the one-sided slopes and the curvature table zero.
         """
-        return (_first_difference(self.values, self.grid.dt, axis=0),) \
-            + self._space_derivatives(self.values)
+        return self._expansion_rows(np.arange(self.grid.t_steps + 1))
+
+    def _expansion_rows(self, rows):
+        """(w_t, w_x, w_xx) of :meth:`expansion_tables` at the time rows
+        ``rows`` only, each w_t from the three rows its stencil reads."""
+        v = self.values
+        start = np.clip(rows - 1, 0, len(v) - 3)
+        wt = _first_difference(v[start[:, None] + np.arange(3)], self.grid.dt, axis=1)
+        return (wt[np.arange(len(rows)), rows - start],) + self._space_derivatives(v[rows])
 
     def _space_derivatives(self, w):
         """(w_x, w_xx) of the value rows ``w`` (state along the last axis),

@@ -11,10 +11,12 @@ Three routes to the same quantity:
   expectations, used as ground truth on desk-sized instances (no regression
   error, depth capped because the tree does not recombine in general).
 
-Conditional expectations in the Monte Carlo schemes use least-squares
-polynomial regression on the state (state binning as fallback); the node-0
-estimate degenerates to the plain cross-path mean because all paths share the
-initial state.
+Both Monte Carlo schemes run one backward loop, a stream of nodes from the
+horizon down that keeps only the next node's value; the solvers store it as
+tables, the closed-loop verification conditions read it node by node.
+Conditional expectations use least-squares polynomial regression on the
+state (state binning as fallback); the node-0 estimate degenerates to the
+plain cross-path mean because all paths share the initial state.
 """
 
 import math
@@ -184,15 +186,18 @@ def _fixed_point(sweep, y, where):
                 f"(residual {shift:.3e}, contraction {rate:.3g}, {n_sweeps} sweeps)")
 
 
-def _backward_pass(model, ensemble, config, penalty_level):
-    """Shared backward induction.  penalty_level=None means hard reflection.
+def _backward_pass(model, ensemble, config, penalty_level, diagnostics):
+    """Shared backward induction as a stream of nodes; penalty_level=None
+    means hard reflection.
 
-    The driver is swept to its fixed point per node by :func:`_fixed_point`.
-    The obstacle is evaluated once per node, and the obstacle violation and
-    the per-path Skorokhod slack (barrier gap times push, summed over nodes)
-    are accumulated on the way.  The reflected pass raises when either
-    exceeds its tolerance times (1 + max|value|); the penalized pass only
-    reports them, since its soft barrier may overshoot.
+    Yields value, slope and push ``(i, y, z, push)`` from node ``steps`` down
+    to node 0, keeping only the next node's value: a consumer must not write
+    into them.  The terminal slope is zero; push is None there and on the
+    penalized pass.  The obstacle violation and the per-path Skorokhod slack
+    (barrier gap times push, summed over nodes) are accumulated on the way.
+    After node 0 the reflected pass raises when either exceeds its tolerance
+    times (1 + max|value|); the penalized pass, whose soft barrier may
+    overshoot, only reports them.  Both go into ``diagnostics``.
     """
     states = ensemble.states
     n_paths, n_nodes = states.shape
@@ -201,22 +206,21 @@ def _backward_pass(model, ensemble, config, penalty_level):
     nodes = ensemble.grid.nodes
     reflected = penalty_level is None
 
-    value = np.empty((n_paths, n_nodes), order="F")
-    slope = np.zeros((n_paths, n_nodes), order="F")
-    pushes = np.zeros((n_paths, steps), order="F")
-    value[:, steps] = np.asarray(model.terminal(states[:, steps]), dtype=float)
-    value_max = float(np.max(np.abs(value[:, steps])))
+    y = np.empty(n_paths)
+    y[:] = np.asarray(model.terminal(states[:, steps]), dtype=float)
+    value_max = float(np.max(np.abs(y)))
     violation = 0.0
     slack = np.zeros(n_paths)
     fallback_nodes = []
+    yield steps, y, np.zeros(n_paths), None
 
     for i in range(steps - 1, -1, -1):
         x = states[:, i]
         est = _ConditionalExpectation(x, config)
         if est.fallback:
             fallback_nodes.append(i)
-        cont = est(value[:, i + 1])
-        z = est(value[:, i + 1] * ensemble.increments[:, i]) / dt
+        cont = est(y)
+        z = est(y * ensemble.increments[:, i]) / dt
         barrier = np.asarray(model.obstacle(nodes[i], x), dtype=float)
         u = ensemble.controls[:, i]
 
@@ -230,13 +234,12 @@ def _backward_pass(model, ensemble, config, penalty_level):
         y, y_max = _fixed_point(sweep, cont, f"at step {i}")
         value_max = max(value_max, y_max)
         violation = max(violation, float(np.max(y - barrier)))
+        push = raw if reflected else None      # the sweep's own array, not read again
         if reflected:
-            push = pushes[:, i]
-            np.subtract(raw, barrier, out=push)
+            push -= barrier
             np.maximum(push, 0.0, out=push)
             slack += (barrier - y) * push
-        value[:, i] = y
-        slope[:, i] = z
+        yield i, y, z, push
 
     slack_max = float(np.max(np.abs(slack)))
     bound = 1.0 + value_max
@@ -248,12 +251,27 @@ def _backward_pass(model, ensemble, config, penalty_level):
         raise BackwardSolverError(
             f"Skorokhod slack {slack_max:.3e} exceeds "
             f"{config.tol_skorokhod:.1e} x {bound:.4g}")
-    diagnostics = {
+    diagnostics.update({
         "max_obstacle_violation": violation,
         "max_skorokhod_slack": slack_max,
         "estimator_fallback_nodes": tuple(reversed(fallback_nodes)),
         "penalty_level": penalty_level,
-    }
+    })
+
+
+def _solve(model, ensemble, config, penalty_level):
+    """The stream of :func:`_backward_pass` stored as column-major tables."""
+    n_paths, n_nodes = ensemble.states.shape
+    value = np.empty((n_paths, n_nodes), order="F")
+    slope = np.empty((n_paths, n_nodes), order="F")
+    pushes = np.zeros((n_paths, n_nodes - 1), order="F")
+    diagnostics = {}
+    for i, y, z, push in _backward_pass(model, ensemble, config, penalty_level,
+                                        diagnostics):
+        value[:, i] = y
+        slope[:, i] = z
+        if push is not None:
+            pushes[:, i] = push
     return RbsdeSolution(value=value, slope=slope, pushes=pushes,
                          diagnostics=diagnostics)
 
@@ -269,7 +287,7 @@ def solve_penalized(model, ensemble, penalty_level, config=SolverConfig()):
     level = float(penalty_level)
     if not level > 0:
         raise ConfigError("penalty level must be positive")
-    return _backward_pass(model, ensemble, config, penalty_level=level)
+    return _solve(model, ensemble, config, penalty_level=level)
 
 
 def solve_reflected(model, ensemble, config=SolverConfig()):
@@ -279,7 +297,7 @@ def solve_reflected(model, ensemble, config=SolverConfig()):
     value sits exactly on the barrier, so the discrete minimality condition
     (barrier gap times push summing to zero) holds to rounding.
     """
-    return _backward_pass(model, ensemble, config, penalty_level=None)
+    return _solve(model, ensemble, config, penalty_level=None)
 
 
 @dataclass(frozen=True)
@@ -314,10 +332,12 @@ def _path_contributions(model, ensemble, sol):
 
 
 def _stderr(samples):
-    """Standard error of the plain mean of ``samples``: std(ddof=1) / sqrt(n),
-    and 0 for n <= 1."""
+    """Standard error of the plain mean of ``samples``: std(ddof=1) / sqrt(n).
+    Fewer than two samples have no spread to estimate it from: refused."""
     n = len(samples)
-    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if n < 2:
+        raise ConfigError(f"a standard error needs at least two samples, got {n}")
+    return float(samples.std(ddof=1) / math.sqrt(n))
 
 
 def _node0_estimate(model, ensemble, config):

@@ -11,7 +11,8 @@ Three entry points mirror the three certification routes:
   inequality.
 * :func:`verify_feedback_optimality` -- feedback law plus expansion tables:
   the pointwise lower inequality at validated nodes, then the closed-loop
-  versions of the conditions above.
+  versions of the conditions above.  The closed-loop conditions read the
+  reflected backward pass as a stream of nodes, storing no solution table.
 
 Limit-type statements are probed by decreasing-radius sampling with a trend
 criterion; a borderline quotient yields the verdict "inconclusive", which is
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, KinkColumnError
 from .hjb import _assemble, coefficients, inf_hamiltonian
-from .rbsde import SolverConfig, _stderr, cost_functional, solve_reflected
+from .rbsde import SolverConfig, _backward_pass, _stderr, cost_functional
 from .simulate import OpenLoopControl, TimeGrid, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback, simulate_law
 
@@ -404,8 +405,8 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
                             names=("superdifferential-membership",
                                    "martingale-slope-match",
                                    "integral-optimality")):
-    """Conditions (membership along paths, slope identity, integral sign)."""
-    sol = solve_reflected(model, ensemble, config.solver)
+    """Conditions (membership along paths, slope identity, integral sign);
+    the last two read the reflected backward pass node by node."""
     grid = ensemble.grid
     nodes = grid.nodes
     steps = grid.steps
@@ -431,20 +432,25 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
                f"({counts['non-member']} rejected, {counts['skipped']} off-box)",
         terms=counts)
 
-    num = 0.0
-    den = 0.0
-    integrals = np.zeros(ensemble.n_paths)
-    for i in range(steps):
+    sums = np.empty((steps, 2))       # per node: sum diff^2, sum z^2
+    integrand = np.empty((ensemble.n_paths, steps), order="F")
+    for i, y, z, _ in _backward_pass(model, ensemble, config.solver, None, {}):
+        if i == steps:
+            continue
         s = float(nodes[i])
         x = ensemble.states[:, i]
-        u = ensemble.controls[:, i]
         q, p, pp = candidate_triple(s, x)
-        coef = coefficients(model, s, x, sol.value[:, i], p, u)
-        z = sol.slope[:, i]
+        coef = coefficients(model, s, x, y, p, ensemble.controls[:, i])
         diff = p * coef[0] - z
-        num += float(np.sum(diff * diff)) * dt
-        den += float(np.sum(z * z)) * dt
-        integrals += (q + _assemble(coef, p, pp)) * dt
+        sums[i] = np.sum(diff * diff), np.sum(z * z)
+        integrand[:, i] = (q + _assemble(coef, p, pp)) * dt
+
+    num = den = 0.0
+    integrals = np.zeros(ensemble.n_paths)
+    for i in range(steps):   # forward order: the sums do not depend on the stream direction
+        num += float(sums[i, 0]) * dt
+        den += float(sums[i, 1]) * dt
+        integrals += integrand[:, i]
     cond_z = _band(names[1], num / max(den, 1e-24), 0.0, config.z_tol,
                    detail="relative mean-square gap of slope identity")
 
@@ -549,13 +555,13 @@ def check_surface_regularity(surface, delta):
 def tables_from_surface(surface):
     """Expansion triple ``(s, x) -> (q, p, pp)`` read at the nearest grid node
     from finite-difference rows of the surface (kinks: slope midpoint,
-    curvature 0)."""
+    curvature 0).  Each call builds only the time rows its query reads."""
     grid = surface.grid
-    qs, ps, pps = surface.expansion_tables()
 
     def triple(s, x):
-        node = grid.nearest_node(s, x)
-        return qs[node], ps[node], pps[node]
+        i, j = grid.nearest_node(s, x)
+        rows, at = np.unique(i, return_inverse=True)
+        return tuple(t[at.reshape(i.shape), j] for t in surface._expansion_rows(rows))
     return triple
 
 

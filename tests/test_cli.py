@@ -210,11 +210,16 @@ def test_override_shape_refused(tmp_path, capsys, argv, message):
     (["cost", "--set", "mc.paths=-5"], "need at least one path, got -5"),
     (["cost", "--set", "cost.method=feedback", "--set", "mc.paths=0", *FAST_PDE],
      "need at least one path, got 0"),
+    # one path has no standard error: every band built on it would lack noise
+    (["cost", "--set", "mc.paths=1"], "a standard error needs at least two samples, got 1"),
+    (["verify", "--set", "mc.paths=1"],
+     "a standard error needs at least two samples, got 1"),
     (["assumptions", "--set", "assumptions.points=0"],
      "probe grid needs at least 2 points, got 0"),
     (["assumptions", "--set", "assumptions.points=1"],
      "probe grid needs at least 2 points, got 1"),
-], ids=["paths-0", "paths-negative", "feedback-paths-0", "points-0", "points-1"])
+], ids=["paths-0", "paths-negative", "feedback-paths-0", "paths-1", "verify-paths-1",
+        "points-0", "points-1"])
 def test_bad_sizes_refused(tmp_path, capsys, argv, message):
     code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
     assert code == 2
@@ -368,6 +373,21 @@ def test_verify_manifest_times_its_stages(tmp_path, capsys, argv, names):
     # each entry is rounded to 1 ms, so the sum may exceed the total by 2 ms
     assert timings["surface"] + timings["law"] + timings["route"] \
         <= timings["total"] + 0.002
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *FAST_PDE],
+    ["cost", *FAST_MC],
+    ["verify", *VERIFY_RUNS[2][0]],
+], ids=["solve", "cost", "verify"])
+def test_manifest_records_peak_rss(tmp_path, capsys, argv):
+    code, _, _ = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code in (0, 1)
+    peak = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mib"]
+    assert set(peak) == {"self", "children"}
+    assert peak["self"] > 0.0
+    # solve joins its forked CSV writers before the manifest is written
+    assert peak["children"] > 0.0 if argv[0] == "solve" else peak["children"] >= 0.0
 
 
 def test_viscosity_battery_takes_every_random_control(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfbsde import (BackwardSolverError, OpenLoopControl, TimeGrid,
-                    cost_functional, solve_penalized, solve_reflected,
-                    tree_oracle)
+from rfbsde import (BackwardSolverError, ConfigError, OpenLoopControl,
+                    TimeGrid, cost_functional, solve_penalized,
+                    solve_reflected, tree_oracle)
 from rfbsde.model import (ControlModel, ControlSet, example_classical,
                           example_viscosity, random_lipschitz_model, zero_model)
 from rfbsde import rbsde
@@ -126,9 +127,9 @@ def test_cost_stderr_is_plain_mean_formula():
     xi = rbsde._path_contributions(model, ens, est.solution)
     assert est.stderr == xi.std(ddof=1) / math.sqrt(len(xi))
     assert est.stderr > 0.0
-    one = cost_functional(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
-                          1, seed=3)
-    assert one.stderr == 0.0
+    with pytest.raises(ConfigError, match="at least two samples, got 1"):
+        cost_functional(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
+                        1, seed=3)
 
 
 def test_solution_invariants(classical_ensemble):
@@ -373,6 +374,23 @@ def test_cost_functional_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * n_paths * steps * 8
+
+
+def test_solutions_pinned():
+    # sha256 of the (value, slope, pushes) bytes of a reflected and a
+    # penalized solve, pinned while the backward loop wrote the tables
+    # itself: storing its node stream must give the same bytes
+    model = example_classical()
+    ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                         TimeGrid(0.0, 1.0, 30), 2000, seed=5)
+    got = []
+    for sol in (solve_reflected(model, ens), solve_penalized(model, ens, 10.0)):
+        h = hashlib.sha256()
+        for table in (sol.value, sol.slope, sol.pushes):
+            h.update(table.tobytes())
+        got.append(h.hexdigest())
+    assert got == ["0c6dd204278f8cbd71a236c36b732e5870925c0e5cca47079aa57a42be6bff82",
+                   "59c9a3920b749a93b17fc9acea4b6e1c798d6f5a4e367159fcc4788373dc5332"]
 
 
 def test_solution_columns_contiguous(classical_ensemble):

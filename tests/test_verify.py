@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,6 +493,52 @@ def test_feedback_optimality_wrong_law_fails_integral(classical_candidate,
     integral = [c for c in report.conditions if c.name == "integral-optimality"][0]
     assert integral.status == "fail"
     assert integral.slack > 1.0
+
+
+def test_closed_loop_route_holds_no_solution_tables(viscosity_candidate):
+    # the route keeps the ensemble (states, increments) and one integrand
+    # table; the backward pass is read node by node, not stored as value,
+    # slope and pushes, and the triple builds its rows on demand
+    model = example_viscosity()
+    law = FeedbackLaw.constant(2.0, model.control_set)
+    cfg = VerifyConfig(n_paths=4000, steps=50, seed=11)
+    # a small run first, so lazy imports and caches are not counted
+    verify_feedback_optimality(model, viscosity_candidate, law,
+                               tables_from_surface(viscosity_candidate), 0.0, 0.5,
+                               VerifyConfig(n_paths=50, steps=5, seed=11))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        triple = tables_from_surface(viscosity_candidate)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        verify_feedback_optimality(model, viscosity_candidate, law, triple,
+                                   0.0, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < viscosity_candidate.values.nbytes
+    assert peak < 4.5 * cfg.n_paths * (cfg.steps + 1) * 8
+
+
+def test_closed_loop_reports_pinned(viscosity_candidate):
+    # sha256 of the sorted-key JSON of a feedback-route and a viscosity-route
+    # report, pinned while the routes still stored the reflected solution:
+    # reading the backward pass node by node must not move a digit
+    model = example_viscosity()
+    cfg = VerifyConfig(n_paths=1000, steps=20, seed=3)
+    feedback = verify_feedback_optimality(
+        model, viscosity_candidate, FeedbackLaw.constant(2.0, model.control_set),
+        tables_from_surface(viscosity_candidate), 0.0, 0.5, cfg)
+    viscosity = verify_viscosity_conditions(
+        model, viscosity_candidate, 0.0, 0.5, OpenLoopControl.constant(1.5),
+        tables_from_surface(viscosity_candidate), cfg,
+        battery=build_control_battery(model, 0.0, 3, 2, 4))
+    got = [hashlib.sha256(json.dumps(r.to_dict(), sort_keys=True).encode()).hexdigest()
+           for r in (feedback, viscosity)]
+    assert got == ["03fd4b6fff626b622686f0634d7ef0e2c87ee3d6d1fab48ac1f666f5424a9532",
+                   "1736cd7fa663b9ff4601126e43d1dbcc92f5d5c0f07d75917fbbf8c94710f347"]
 
 
 def test_tables_from_surface_reads_expansion_rows(viscosity_candidate):
