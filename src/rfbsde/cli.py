@@ -382,7 +382,7 @@ def cmd_cost(cfg):
             stderr = 0.0
     if method != "tree":
         value, stderr = est.value, est.stderr
-        run.extra["diagnostics"] = est.solution.diagnostics
+        run.extra["diagnostics"] = est.diagnostics
 
     control = "" if u0 is None else repr(u0)
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"

@@ -13,7 +13,9 @@ Three routes to the same quantity:
 
 Both Monte Carlo schemes run one backward loop, a stream of nodes from the
 horizon down that keeps only the next node's value; the solvers store it as
-tables, the closed-loop verification conditions read it node by node.
+tables, the closed-loop verification conditions read it node by node.  A
+cost's per-path contributions are one forward fold, fed from the stored
+tables or, keeping only driver credits and nonzero pushes, from the stream.
 Conditional expectations use least-squares polynomial regression on the
 state (state binning as fallback); the node-0 estimate degenerates to the
 plain cross-path mean because all paths share the initial state.
@@ -21,6 +23,7 @@ plain cross-path mean because all paths share the initial state.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -302,33 +305,47 @@ def solve_reflected(model, ensemble, config=SolverConfig()):
 
 @dataclass(frozen=True)
 class CostEstimate:
+    """Node-0 value, standard error, diagnostics; tables from cost_functional."""
+
     value: float
     stderr: float
-    solution: RbsdeSolution
+    diagnostics: dict
+    solution: Optional[RbsdeSolution] = None
 
 
-def _path_contributions(model, ensemble, sol):
+def _credit(model, ensemble, i, y, z):
+    """Driver integrated over interval i: driver(t_i, x_i, y_i, z_i, u_i)·dt."""
+    grid = ensemble.grid
+    return np.asarray(model.driver(grid.nodes[i], ensemble.states[:, i], y, z,
+                                   ensemble.controls[:, i]), dtype=float) * grid.dt
+
+
+def _fold(model, ensemble, nodes):
     """Per-path functional contributions: terminal + integrated driver - push.
 
     Taking expectations in the backward equation at the initial time kills the
     martingale integral, so the node-0 value is the mean of these; their
     spread carries the true sampling noise of the estimate, which the
-    regression-smoothed backward values hide.  The terminal reflection is
-    summed from the pushes node by node, in the order ``sol.reflection``
-    adds them, so no reflection table is built.
+    regression-smoothed backward values hide.  ``nodes`` yields each node's
+    driver credit and pushes ``(where, amount)`` in forward order; pushes are
+    summed from zero as ``RbsdeSolution.reflection`` adds them, so zero
+    pushes left out change no bit.
     """
-    grid = ensemble.grid
-    dt = grid.dt
-    nodes = grid.nodes
-    xi = np.asarray(model.terminal(ensemble.states[:, grid.steps]), dtype=float).copy()
-    pushed = np.zeros(ensemble.n_paths)
-    for i in range(grid.steps):
-        xi += np.asarray(model.driver(
-            nodes[i], ensemble.states[:, i], sol.value[:, i], sol.slope[:, i],
-            ensemble.controls[:, i]), dtype=float) * dt
-        pushed += sol.pushes[:, i]
+    xi = np.asarray(model.terminal(ensemble.states[:, ensemble.grid.steps]),
+                    dtype=float).copy()
+    pushed = np.zeros(len(xi))
+    for credit, where, amount in nodes:
+        xi += credit
+        pushed[where] += amount
     xi -= pushed
     return xi
+
+
+def _path_contributions(model, ensemble, sol):
+    """The fold fed from stored tables, each node's credit computed as read."""
+    return _fold(model, ensemble,
+                 ((_credit(model, ensemble, i, sol.value[:, i], sol.slope[:, i]),
+                   slice(None), sol.pushes[:, i]) for i in range(ensemble.grid.steps)))
 
 
 def _stderr(samples):
@@ -341,11 +358,24 @@ def _stderr(samples):
 
 
 def _node0_estimate(model, ensemble, config):
-    """Node-0 value and the standard error of the mean path contribution."""
-    sol = solve_reflected(model, ensemble, config)
-    value = sol.value[:, 0].mean()
-    stderr = _stderr(_path_contributions(model, ensemble, sol))
-    return CostEstimate(value=float(value), stderr=stderr, solution=sol)
+    """Reflected cost on an ensemble, folded from the backward stream.
+
+    Keeps one column-major (paths, steps) table of driver credits and each
+    node's nonzero pushes, no solution table; value and standard error are
+    :func:`cost_functional`'s on the same ensemble, bit for bit.
+    """
+    steps = ensemble.grid.steps
+    credits = np.empty((ensemble.n_paths, steps), order="F")
+    pushes = [None] * steps
+    diagnostics = {}
+    for i, y, z, push in _backward_pass(model, ensemble, config, None, diagnostics):
+        if push is not None:          # every node but the terminal one
+            credits[:, i] = _credit(model, ensemble, i, y, z)
+            where = np.flatnonzero(push)
+            pushes[i] = (where, push[where])
+    xi = _fold(model, ensemble, ((credits[:, i], *pushes[i]) for i in range(steps)))
+    return CostEstimate(value=float(y.mean()), stderr=_stderr(xi),
+                        diagnostics=diagnostics)
 
 
 def cost_functional(model, start_time, start_state, control, grid, n_paths, seed,
@@ -354,11 +384,14 @@ def cost_functional(model, start_time, start_state, control, grid, n_paths, seed
 
     Composes forward simulation with the reflected solver; the reported value
     is the cross-path node-0 estimate (deterministic at the initial time) with
-    the standard error of the mean path contribution.
+    the standard error of the mean path contribution; it keeps the tables.
     """
     ensemble = simulate_paths(model, start_time, start_state, control, grid,
                               n_paths, seed)
-    return _node0_estimate(model, ensemble, config)
+    sol = solve_reflected(model, ensemble, config)
+    return CostEstimate(value=float(sol.value[:, 0].mean()),
+                        stderr=_stderr(_path_contributions(model, ensemble, sol)),
+                        diagnostics=sol.diagnostics, solution=sol)
 
 
 def tree_oracle(model, start_time, start_state, policy, depth):

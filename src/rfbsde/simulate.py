@@ -49,9 +49,9 @@ class TimeGrid:
 class OpenLoopControl:
     """Control applied on each interval [r_i, r_{i+1}).
 
-    Two flavours: a constant or a deterministic function of time.  A
-    constant is simulated from one shared column, so its ensemble's
-    ``controls`` is a read-only broadcast view, not a table.
+    Two flavours: a constant or a deterministic function of time.  Neither
+    is stored as a table: a constant is one shared column and a function of
+    time one row of its node values, broadcast read-only over the ensemble.
     """
 
     kind: str
@@ -85,7 +85,8 @@ class PathEnsemble:
     column is contiguous; the increments still hold the row-major
     ``(paths, steps)`` draw of the module docstring, element for element.
     Under a constant open-loop control, ``controls`` is one ``(paths,)``
-    column broadcast read-only over the steps (strides ``(8, 0)``).
+    column broadcast read-only over the steps (strides ``(8, 0)``), under a
+    function of time one ``(steps,)`` row over the paths (``(0, 8)``).
     """
 
     grid: TimeGrid
@@ -120,13 +121,13 @@ def _increments(seed, n_paths, steps, dt):
     return out
 
 
-def _euler(model, start_time, start_state, grid, n_paths, seed, control_at,
-           controls=None):
+def _euler(model, start_time, start_state, grid, n_paths, seed, controls,
+           law=None):
     """Euler loop shared by both entry points.
 
-    ``control_at(i, t, x)`` returns the node-i control values for the states
-    ``x``; they are recorded on the ensemble as the per-path control table,
-    unless the caller passes ``controls``, a table that already holds them.
+    ``controls`` is the ensemble's (paths, steps) control table.  Given a
+    feedback ``law``, the loop fills each node's column from the law at the
+    states that node reaches.
     """
     if abs(grid.start - start_time) > 1e-12:
         raise ConfigError("grid.start must equal the initial time")
@@ -137,15 +138,12 @@ def _euler(model, start_time, start_state, grid, n_paths, seed, control_at,
     dW = _increments(seed, n_paths, grid.steps, dt)
     states = np.empty((n_paths, grid.steps + 1), order="F")
     states[:, 0] = float(np.asarray(start_state).reshape(()))
-    record = controls is None
-    if record:
-        controls = np.empty((n_paths, grid.steps), order="F")
     nodes = grid.nodes
     for i in range(grid.steps):
         x = states[:, i]
-        u = control_at(i, nodes[i], x)
-        if record:
-            controls[:, i] = u
+        if law is not None:
+            controls[:, i] = law_controls(model, law, nodes[i], x)
+        u = controls[:, i]
         nxt = x + np.asarray(model.drift(nodes[i], x, u)) * dt \
             + np.asarray(model.diffusion(nodes[i], x, u)) * dW[:, i]
         if not np.all(np.isfinite(nxt)):
@@ -161,20 +159,17 @@ def simulate_paths(model, start_time, start_state, control, grid, n_paths, seed)
     """Euler scheme for the controlled state equation under an open-loop control.
 
     Deterministic given the seed.  Controls outside the model's control set
-    are rejected before any path is generated.  A constant control is one
-    shared column, recorded as a read-only broadcast over the steps.
+    are rejected before any path is generated.  The controls are a
+    read-only broadcast of a constant's column or a function's node row.
     """
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
-    if not model.control_set.contains(control.all_values(grid)):
+    row = control.all_values(grid)
+    if not model.control_set.contains(row):
         raise SimulationError("control takes values outside the control set")
-    if control.kind == "constant":
-        column = control.values_at(grid.start, n_paths)
-        controls = np.broadcast_to(column[:, None], (n_paths, grid.steps))
-        return _euler(model, start_time, start_state, grid, n_paths, seed,
-                      lambda i, t, x: column, controls)
+    shared = row if control.kind == "time" else np.full((n_paths, 1), control.value)
     return _euler(model, start_time, start_state, grid, n_paths, seed,
-                  lambda i, t, x: control.values_at(t, n_paths))
+                  np.broadcast_to(shared, (n_paths, grid.steps)))
 
 
 def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, seed):
@@ -188,4 +183,4 @@ def simulate_closed_loop(model, law, start_time, start_state, grid, n_paths, see
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
     return _euler(model, start_time, start_state, grid, n_paths, seed,
-                  lambda i, t, x: law_controls(model, law, t, x))
+                  np.empty((n_paths, grid.steps), order="F"), law)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, KinkColumnError
 from .hjb import _assemble, coefficients, inf_hamiltonian
-from .rbsde import SolverConfig, _backward_pass, _stderr, cost_functional
+from .rbsde import SolverConfig, _backward_pass, _node0_estimate, _stderr
 from .simulate import OpenLoopControl, TimeGrid, simulate_paths
 from .synthesis import check_law_regularity, evaluate_feedback, simulate_law
 
@@ -300,15 +300,18 @@ def _battery_condition(model, w0, start_time, start_state, battery, grid,
     """Surface value w0 against every battery cost, within noise plus budget.
 
     Returns the condition record and one row per control: its label, cost
-    estimate, standard error and slack.  The record is the worst control's.
+    estimate, standard error and slack.  The record is the worst control's;
+    each cost is folded from the backward stream, storing no solution table.
     """
     if not battery:
         raise ConfigError("the control battery is empty")
     worst = None
     details = []
     for k, (label, control) in enumerate(battery):
-        est = cost_functional(model, start_time, start_state, control, grid,
-                              config.n_paths, config.seed + 13 * k, config.solver)
+        # no name keeps an ensemble alive while the next one is built
+        est = _node0_estimate(model, simulate_paths(
+            model, start_time, start_state, control, grid, config.n_paths,
+            config.seed + 13 * k), config.solver)
         cond = _band(name, w0 - est.value, est.stderr, 0.0,
                      detail=f"worst control {label} of {len(battery)}",
                      bias_budget=config.bias_budget)

@@ -315,6 +315,17 @@ def test_classical_report_json_lists_battery_costs(tmp_path, capsys):
     assert max(r["slack"] for r in rows) == bound["slack"]
 
 
+def test_classical_report_pinned(tmp_path, capsys):
+    # sha256 of report.json (battery with two time-only controls, and
+    # law-achieves-value), pinned while every cost stored the reflected
+    # solution and time-only controls a per-path table
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *FAST_MC,
+                              "--set", "verify.battery_random=2"])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == \
+        "366d734c91e9175b1c1a9b2c7fe555c3d91b03c4f239fe3af0ccaca50ddc5205"
+
+
 BAND_TERMS = {"gap", "stderr"}
 PATH_COUNTS = {"member", "non-member", "inconclusive", "skipped"}
 CONDITION_TERMS = {

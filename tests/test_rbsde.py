@@ -124,12 +124,30 @@ def test_cost_stderr_is_plain_mean_formula():
     ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
                          500, seed=3)
     est = rbsde._node0_estimate(model, ens, SolverConfig())
-    xi = rbsde._path_contributions(model, ens, est.solution)
+    xi = rbsde._path_contributions(model, ens, solve_reflected(model, ens))
     assert est.stderr == xi.std(ddof=1) / math.sqrt(len(xi))
     assert est.stderr > 0.0
     with pytest.raises(ConfigError, match="at least two samples, got 1"):
         cost_functional(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
                         1, seed=3)
+
+
+@pytest.mark.parametrize("control", [
+    OpenLoopControl.constant(1.0),
+    OpenLoopControl.from_function(lambda t: 1.0 + (t >= 0.5))],
+    ids=["constant", "time"])
+def test_streamed_estimate_is_the_stored_one(control):
+    # reflection active from 0.5: the stream's credits and sparse pushes fold
+    # to the value, stderr and diagnostics of the stored tables, bit for bit
+    model = example_viscosity()
+    grid = TimeGrid(0.0, 1.0, 20)
+    stored = cost_functional(model, 0.0, 0.5, control, grid, 800, seed=6)
+    assert np.any(stored.solution.pushes > 0.0)
+    ens = simulate_paths(model, 0.0, 0.5, control, grid, 800, seed=6)
+    streamed = rbsde._node0_estimate(model, ens, SolverConfig())
+    assert streamed.solution is None
+    assert (streamed.value, streamed.stderr) == (stored.value, stored.stderr)
+    assert streamed.diagnostics == stored.diagnostics
 
 
 def test_solution_invariants(classical_ensemble):

@@ -137,6 +137,24 @@ def test_constant_control_is_one_shared_column(classical_model):
     assert np.all(ens.controls == 0.5)
 
 
+def test_time_control_is_one_shared_row(classical_model):
+    grid = TimeGrid(0.0, 1.0, 6)
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return 0.5 * t
+
+    control = OpenLoopControl.from_function(fn)
+    ens = simulate_paths(classical_model, 0.0, 1.0, control, grid, 50, seed=3)
+    assert len(calls) == grid.steps
+    assert ens.controls.shape == (50, grid.steps)
+    assert ens.controls.strides == (0, 8)
+    assert not ens.controls.flags.writeable
+    for i, t in enumerate(grid.nodes[:-1]):
+        assert np.array_equal(ens.controls[:, i], control.values_at(t, 50))
+
+
 def test_control_outside_set_rejected(classical_model):
     with pytest.raises(SimulationError):
         simulate_paths(classical_model, 0.0, 1.0, OpenLoopControl.constant(2.0),

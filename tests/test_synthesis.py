@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,13 @@ def classical_law(classical_surface, classical_model):
 @pytest.fixture(scope="module")
 def viscosity_law(viscosity_surface, viscosity_model):
     return extract_feedback(viscosity_surface, viscosity_model)
+
+
+@pytest.fixture(scope="module")
+def implicit_viscosity_law(viscosity_model):
+    grid = SpaceTimeGrid(horizon=1.0, x_min=-5.0, x_max=5.0, t_steps=200, x_steps=100)
+    return extract_feedback(solve_obstacle_hjb(viscosity_model, grid, scheme="implicit"),
+                            viscosity_model)
 
 
 def test_classical_law_identically_zero(classical_law):
@@ -139,6 +148,38 @@ def test_evaluate_refuses_irregular_law(viscosity_model, viscosity_law):
                             TimeGrid(0.0, 1.0, 20), 50, seed=1,
                             allow_irregular=True)
     assert math.isfinite(est.value)
+
+
+def test_closed_loop_cost_holds_no_solution_tables(viscosity_model,
+                                                  implicit_viscosity_law):
+    # the cost is folded from the backward stream: besides the ensemble it
+    # keeps one credit table and the nonzero pushes, none of it after return
+    n_paths, steps = 4000, 50
+    grid = TimeGrid(0.0, 1.0, steps)
+    # a small run first, so lazy imports and caches are not counted
+    evaluate_feedback(viscosity_model, implicit_viscosity_law, 0.0, 0.5, grid, 50,
+                      seed=11, allow_irregular=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        est = evaluate_feedback(viscosity_model, implicit_viscosity_law, 0.0, 0.5,
+                                grid, n_paths, seed=11, allow_irregular=True)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    table = n_paths * (steps + 1) * 8
+    assert est.solution is None
+    assert peak < 5 * table
+    assert held < 0.1 * table
+
+
+def test_closed_loop_cost_pinned(viscosity_model, implicit_viscosity_law):
+    # sha256 of repr((value, stderr)), pinned while the estimate still stored
+    # the reflected solution: folding the stream must not move a bit
+    est = evaluate_feedback(viscosity_model, implicit_viscosity_law, 0.0, 0.5,
+                            TimeGrid(0.0, 1.0, 50), 4000, seed=11, allow_irregular=True)
+    assert hashlib.sha256(repr((est.value, est.stderr)).encode()).hexdigest() == \
+        "57175d0496f97365a6d90c7e644f8d4c4c4db62e4fd23e3c7f873d25a9e1de9d"
 
 
 def test_feedback_beats_open_loop_battery(classical_model, classical_law):
