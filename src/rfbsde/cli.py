@@ -30,8 +30,8 @@ from .errors import ConfigError, RfbsdeError
 from .hjb import (SpaceTimeGrid, candidate_surface, hamiltonian_minima, residual,
                   solve_obstacle_hjb, write_grid_csv, write_surface_csv)
 from .model import ProbeGrid, build_model, validate_assumptions
-from .rbsde import SolverConfig, cost_functional, tree_oracle
-from .simulate import OpenLoopControl, TimeGrid
+from .rbsde import SolverConfig, tree_oracle
+from .simulate import TimeGrid
 from .synthesis import FeedbackLaw, evaluate_feedback, extract_feedback, write_law_csv
 from .verify import (MembershipProbe, VerifyConfig,
                      build_control_battery, tables_from_surface,
@@ -50,8 +50,7 @@ DEFAULTS = {
                    "membership": 0.02, "nonmember": 0.05, "bias_budget": 0.05},
     "cost": {"method": "reflected", "control": 0.0, "tree_depth": 16},
     "verify": {"mode": "classical", "surface": "candidate", "constant_law": None,
-               "control": None, "tables": "surface",
-               "battery_random": 20, "battery_switches": 8,
+               "tables": "surface", "battery_random": 20, "battery_switches": 8,
                "membership_times": 16, "membership_paths": 64,
                "node_samples": 64,
                "triple": {"time_slope": 0.0, "gradient": 1.0, "curvature": 0.0}},
@@ -363,26 +362,21 @@ def cmd_cost(cfg):
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
     with run.stage("cost"):
-        if method == "reflected":
-            grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
-            est = cost_functional(model, start_time, start_state,
-                                  OpenLoopControl.constant(u0), grid,
-                                  _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
-                                  _solver_config(cfg))
-        elif method == "feedback":
-            surface = _surface_for(cfg, model, "verify.surface")
-            law = extract_feedback(surface, model)
+        if method == "feedback":
+            law = extract_feedback(_surface_for(cfg, model, "verify.surface"), model)
+        else:
+            law = FeedbackLaw.constant(u0, model.control_set)
+        if method == "tree":
+            value = tree_oracle(model, start_time, start_state, law,
+                                _num(cfg, "cost.tree_depth", int))
+            stderr = 0.0
+        else:   # folded from the backward stream, storing no solution table
             grid = TimeGrid(start_time, model.horizon, _num(cfg, "mc.steps", int))
             est = evaluate_feedback(model, law, start_time, start_state, grid,
                                     _num(cfg, "mc.paths", int), _num(cfg, "mc.seed", int),
                                     _solver_config(cfg), allow_irregular=True)
-        else:
-            value = tree_oracle(model, start_time, start_state,
-                                lambda t, x: u0, _num(cfg, "cost.tree_depth", int))
-            stderr = 0.0
-    if method != "tree":
-        value, stderr = est.value, est.stderr
-        run.extra["diagnostics"] = est.diagnostics
+            value, stderr = est.value, est.stderr
+            run.extra["diagnostics"] = est.diagnostics
 
     control = "" if u0 is None else repr(u0)
     row = (f"{model.name},{method},{mc['start_time']!r},{mc['start_state']!r},"
@@ -408,7 +402,6 @@ def cmd_verify(cfg):
     run = _Run(cfg, "verify")
     model = _model_from(cfg)
     vcfg = _verify_config(cfg)
-    v = cfg["verify"]
     # refused before the surface solve, which can be the costly part
     mode = _choice(cfg, "verify.mode", ("classical", "viscosity", "feedback"))
     tables_from = _choice(cfg, "verify.tables", ("surface", "triple"))
@@ -418,17 +411,13 @@ def cmd_verify(cfg):
                    for k in ("time_slope", "gradient", "curvature"))
     battery_sizes = (_num(cfg, "verify.battery_random", int),
                      _num(cfg, "verify.battery_switches", int))
-    law = None
-    if mode == "viscosity":
-        u0 = model.control_set.lo if v["control"] is None \
-            else _control(cfg, "verify.control", model)
-    elif v["constant_law"] is not None:
-        law = FeedbackLaw.constant(_control(cfg, "verify.constant_law", model),
-                                   model.control_set)
+    # the control under test in every mode: the constant law, else the extracted one
+    law = None if cfg["verify"]["constant_law"] is None else FeedbackLaw.constant(
+        _control(cfg, "verify.constant_law", model), model.control_set)
     with run.stage("surface"):
         surface = _surface_for(cfg, model, "verify.surface")
     with run.stage("law"):
-        if mode != "viscosity" and law is None:
+        if law is None:
             law = extract_feedback(surface, model)
 
     with run.stage("route"):
@@ -445,8 +434,7 @@ def cmd_verify(cfg):
                                           law, battery, vcfg)
             else:
                 report = verify_viscosity_conditions(
-                    model, surface, start_time, start_state,
-                    OpenLoopControl.constant(u0),
+                    model, surface, start_time, start_state, law,
                     lambda s, x: triple, vcfg, battery=battery)
 
     _write_report(run, report)
@@ -489,7 +477,7 @@ _PAPER_PRESETS = {
         "model": {"name": "example-viscosity"},
         "pde": {"t_steps": 2000, "x_steps": 200, "x_min": -5.0, "x_max": 5.0},
         "mc": {"paths": 5000, "steps": 100, "start_state": 0.0},
-        "verify": {"mode": "viscosity", "control": 1.0, "battery_random": 3,
+        "verify": {"mode": "viscosity", "constant_law": 1.0, "battery_random": 3,
                    "triple": {"time_slope": 0.0, "gradient": 1.0,
                               "curvature": 0.0}},
         "cost": {"control": 1.0},

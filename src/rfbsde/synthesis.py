@@ -113,16 +113,18 @@ def evaluate_feedback(model, law, start_time, start_state, grid, n_paths, seed,
 def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
     """Euler paths under a feedback law.
 
-    A constant law runs as the open-loop constant control it equals: the
+    A law that takes one value, a constant or a table whose entries all
+    equal its first, runs as the open-loop constant control it equals: the
     same paths, with one shared control column instead of a per-path
-    table.  A tabled law runs in closed loop.
+    table.  Any other tabled law runs in closed loop.
     """
-    if law.table is None:
-        control = OpenLoopControl.constant(law.control_set.clip(law.value))
-        return simulate_paths(model, start_time, start_state, control, grid,
-                              n_paths, seed)
-    return simulate_closed_loop(model, law, start_time, start_state, grid,
-                                n_paths, seed)
+    if law.table is not None and np.any(law.table != law.table.flat[0]):
+        return simulate_closed_loop(model, law, start_time, start_state, grid,
+                                    n_paths, seed)
+    value = law.value if law.table is None else law.table.flat[0]
+    control = OpenLoopControl.constant(law.control_set.clip(value))
+    return simulate_paths(model, start_time, start_state, control, grid,
+                          n_paths, seed)
 
 
 def write_law_csv(law, path):

@@ -7,12 +7,15 @@ Three entry points mirror the three certification routes:
   Lipschitz in state.
 * :func:`verify_viscosity_conditions` -- non-smooth surface: membership of a
   supplied expansion triple in the right-time parabolic superdifferential
-  along paths, the martingale-slope identity, and the integral optimality
-  inequality.
+  along the paths of a feedback law, the martingale-slope identity, and the
+  integral optimality inequality.
 * :func:`verify_feedback_optimality` -- feedback law plus expansion tables:
-  the pointwise lower inequality at validated nodes, then the closed-loop
-  versions of the conditions above.  The closed-loop conditions read the
-  reflected backward pass as a stream of nodes, storing no solution table.
+  the pointwise lower inequality at validated nodes, then the same
+  closed-loop conditions, which read the reflected backward pass as a
+  stream of nodes, storing no solution table.
+
+Every route takes the control under test as one ``FeedbackLaw``; a constant
+control is the constant law.
 
 Limit-type statements are probed by decreasing-radius sampling with a trend
 criterion; a borderline quotient yields the verdict "inconclusive", which is
@@ -404,13 +407,16 @@ def _membership_along_paths(surface, ensemble, candidate_triple, config):
     return counts, worst
 
 
-def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
+def _closed_loop_conditions(model, surface, law, start_time, start_state, grid,
+                            candidate_triple, config,
                             names=("superdifferential-membership",
                                    "martingale-slope-match",
                                    "integral-optimality")):
-    """Conditions (membership along paths, slope identity, integral sign);
-    the last two read the reflected backward pass node by node."""
-    grid = ensemble.grid
+    """Conditions along the paths of ``law`` from the start pair (membership
+    along paths, slope identity, integral sign); the last two read the
+    reflected backward pass node by node."""
+    ensemble = simulate_law(model, law, start_time, start_state, grid,
+                            config.n_paths, config.seed)
     nodes = grid.nodes
     steps = grid.steps
     dt = grid.dt
@@ -465,20 +471,19 @@ def _closed_loop_conditions(model, surface, ensemble, candidate_triple, config,
 
 
 def verify_viscosity_conditions(model, surface, start_time, start_state,
-                                control, candidate_triple, config=VerifyConfig(),
+                                law, candidate_triple, config=VerifyConfig(),
                                 battery=None):
-    """Certification of one admissible control against a viscosity surface.
+    """Certification of one feedback law against a viscosity surface.
 
     ``candidate_triple`` maps (s, state) to the expansion triple claimed to
-    belong to the right-time superdifferential along the controlled path.
+    belong to the right-time superdifferential along the path of ``law``.
     Also re-checks that the surface value lower-bounds a battery of sampled
     costs, the numerical stand-in for the surface being the value function.
     """
     grid = TimeGrid(start_time, model.horizon, config.steps)
-    ensemble = simulate_paths(model, start_time, start_state, control, grid,
-                              config.n_paths, config.seed)
-    conds = list(_closed_loop_conditions(model, surface, ensemble,
-                                         candidate_triple, config))
+    conds = list(_closed_loop_conditions(model, surface, law, start_time,
+                                         start_state, grid, candidate_triple,
+                                         config))
 
     extras = {}
     if battery:
@@ -490,7 +495,9 @@ def verify_viscosity_conditions(model, surface, start_time, start_state,
 
     fp = _route_fingerprint("viscosity", model, surface, start_time, start_state,
                             config, probe=(_PROBE_MAX_RADIUS, _PROBE_LEVELS,
-                                           _PROBE_SAMPLES, config.probe.seed))
+                                           _PROBE_SAMPLES, config.probe.seed),
+                            battery=[b[0] for b in battery or ()],
+                            budget=config.bias_budget, law=_law_key(law))
     return VerificationReport(theorem="viscosity-verification",
                               conditions=tuple(conds), fingerprint=fp,
                               extras=extras)
@@ -621,11 +628,9 @@ def verify_feedback_optimality(model, surface, law, candidate_triple, start_time
         terms={"member": members, "inconclusive": inconclusive,
                "non-member": rejected})
 
-    mc_grid = TimeGrid(start_time, model.horizon, config.steps)
-    ensemble = simulate_law(model, law, start_time, start_state,
-                            mc_grid, config.n_paths, config.seed)
     closed = _closed_loop_conditions(
-        model, surface, ensemble, candidate_triple, config,
+        model, surface, law, start_time, start_state,
+        TimeGrid(start_time, model.horizon, config.steps), candidate_triple, config,
         names=("table-membership-on-paths", "martingale-slope-match",
                "integral-optimality"))
 

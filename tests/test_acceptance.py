@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from rfbsde import (OpenLoopControl, SpaceTimeGrid, TimeGrid,
+from rfbsde import (FeedbackLaw, OpenLoopControl, SpaceTimeGrid, TimeGrid,
                     check_superdiff_membership, check_surface_regularity,
                     cost_functional, extract_feedback, solve_obstacle_hjb,
                     solve_penalized, solve_reflected, tree_oracle,
@@ -126,7 +126,8 @@ def test_criterion_4_viscosity_verification(viscosity_model):
     surface = candidate_surface(viscosity_model, grid)
     cfg = VerifyConfig(n_paths=2000, steps=100, seed=7)
     report = verify_viscosity_conditions(
-        viscosity_model, surface, 0.0, 0.0, OpenLoopControl.constant(1.0),
+        viscosity_model, surface, 0.0, 0.0,
+        FeedbackLaw.constant(1.0, viscosity_model.control_set),
         lambda s, x: (0.0, 1.0, 0.0), cfg)
     slacks = {c.name: c.slack for c in report.conditions}
     ok_pass = report.passed and all(s == 0.0 for s in slacks.values())

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,9 +18,12 @@ from rfbsde import SpaceTimeGrid, cli, solve_obstacle_hjb
 from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
                         load_config, main)
 from rfbsde.errors import BackwardSolverError
-from rfbsde.model import example_classical
+from rfbsde.hjb import candidate_surface
+from rfbsde.model import build_model, example_classical
 from rfbsde.rbsde import SolverConfig
-from rfbsde.verify import MembershipProbe, VerifyConfig
+from rfbsde.synthesis import extract_feedback
+from rfbsde.verify import (MembershipProbe, VerifyConfig, build_control_battery,
+                           verify_viscosity_conditions)
 
 FAST_MC = ["--set", "mc.paths=2000", "--set", "mc.steps=50"]
 FAST_PDE = ["--set", "pde.t_steps=200", "--set", "pde.x_steps=60"]
@@ -346,7 +350,7 @@ VERIFY_RUNS = [
     ([*FAST_MC, "--set", "verify.battery_random=1"],
      ["battery-lower-bound", "law-achieves-value", "law-regularity"]),
     (["--set", "model.name=example-viscosity", "--set", "verify.mode=viscosity",
-      "--set", "verify.control=1.0", "--set", "mc.start_state=0.0",
+      "--set", "verify.constant_law=1.0", "--set", "mc.start_state=0.0",
       "--set", "mc.paths=500", "--set", "mc.steps=50",
       "--set", "verify.battery_random=1", "--set", "pde.x_min=-1",
       "--set", "pde.x_max=1", "--set", "pde.t_steps=100", "--set", "pde.x_steps=100"],
@@ -449,7 +453,7 @@ def test_solve_artifacts_golden_digests(tmp_path, capsys, extra, digests):
 
 def test_verify_viscosity_pass_and_fail(tmp_path, capsys):
     base = ["verify", "--set", "model.name=example-viscosity",
-            "--set", "verify.mode=viscosity", "--set", "verify.control=1.0",
+            "--set", "verify.mode=viscosity", "--set", "verify.constant_law=1.0",
             "--set", "mc.start_state=0.0", "--set", "mc.paths=500",
             "--set", "mc.steps=50", "--set", "verify.battery_random=2",
             "--set", "pde.x_min=-1", "--set", "pde.x_max=1",
@@ -465,6 +469,74 @@ def test_verify_viscosity_pass_and_fail(tmp_path, capsys):
     report = json.loads((tmp_path / "bad" / "report.json").read_text())
     failed = [c["name"] for c in report["conditions"] if c["status"] == "fail"]
     assert "superdifferential-membership" in failed
+
+
+def test_viscosity_fingerprint_names_law_and_battery(tmp_path, capsys):
+    # the report of another control under test, battery or budget has
+    # another fingerprint, as the classical route's has
+    argv, _ = VERIFY_RUNS[VERIFY_MODES.index("viscosity")]
+
+    def fingerprint(name, *sets):
+        out = tmp_path / name
+        code, _, _ = run(capsys, ["verify", "--out", str(out), *argv,
+                                  *(a for s in sets for a in ("--set", s))])
+        assert code in (0, 1)
+        return json.loads((out / "report.json").read_text())["fingerprint"]
+
+    prints = [fingerprint("a"), fingerprint("b", "verify.constant_law=2.0"),
+              fingerprint("c", "verify.battery_random=2"),
+              fingerprint("d", "tolerances.bias_budget=0.1")]
+    assert len(set(prints)) == len(prints)
+    assert fingerprint("e") == prints[0]
+
+
+def test_viscosity_mode_certifies_extracted_law(tmp_path, capsys):
+    # without verify.constant_law the control under test is the law
+    # extracted from the surface, as in the other two modes
+    argv, _ = VERIFY_RUNS[VERIFY_MODES.index("viscosity")]
+    code, _, _ = run(capsys, ["verify", "--out", str(tmp_path), *argv,
+                              "--set", "verify.constant_law=null",
+                              "--set", "mc.start_state=-0.5"])
+    assert code in (0, 1)
+    model = build_model("example-viscosity")
+    surface = candidate_surface(model, SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0,
+                                                     t_steps=100, x_steps=100))
+    law = extract_feedback(surface, model)
+    assert law.table.min() < law.table.max()
+    cfg = VerifyConfig(n_paths=500, steps=50, seed=7, probe=MembershipProbe(seed=7))
+    report = verify_viscosity_conditions(
+        model, surface, 0.0, -0.5, law, lambda s, x: (0.0, 1.0, 0.0), cfg,
+        battery=build_control_battery(model, 0.0, 7, 1, 8))
+    got = json.loads((tmp_path / "report.json").read_text())
+    assert got == json.loads(json.dumps(report.to_dict()))
+
+
+def test_cost_holds_no_solution_table(tmp_path, capsys):
+    # rfbsde cost folds the cost from the backward stream: besides the
+    # ensemble it keeps one credit table and the nonzero pushes
+    n_paths, steps = 4000, 50
+    sets = ["cost.method=reflected", f"mc.steps={steps}"]
+    # a small run first, so lazy imports and caches are not counted
+    cmd_cost(load_config(None, sets=sets + ["mc.paths=50"], out=str(tmp_path / "a")))
+    cfg = load_config(None, sets=sets + [f"mc.paths={n_paths}"], out=str(tmp_path / "b"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cmd_cost(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4.5 * n_paths * (steps + 1) * 8
+
+
+def test_readme_config_keys_are_defaults():
+    # every key the README's config block shows is one the CLI accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    shown = set(_leaf_keys(yaml.safe_load(block)))
+    assert len(shown) > 20
+    assert shown <= set(_leaf_keys(DEFAULTS))
 
 
 def test_paper_unknown_id(tmp_path, capsys):
@@ -499,7 +571,7 @@ def test_tol_override_applied(tmp_path, capsys):
     code, _, _ = run(capsys, [
         "verify", "--out", str(tmp_path),
         "--set", "model.name=example-viscosity",
-        "--set", "verify.mode=viscosity", "--set", "verify.control=1.0",
+        "--set", "verify.mode=viscosity", "--set", "verify.constant_law=1.0",
         "--set", "mc.start_state=0.0", "--set", "mc.paths=300",
         "--set", "mc.steps=30", "--set", "verify.battery_random=0",
         "--set", "pde.x_min=-1", "--set", "pde.x_max=1",
@@ -533,7 +605,7 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
         assert err.startswith("ERROR[config]")
     # keys that no solver reads are not in the schema: unknown keys, exit 2
     for gone in ("penalty.n=50.0", "pde.boundary=extrap1", "solver.picard_iterations=3",
-                 "pde.cfl=auto"):
+                 "pde.cfl=auto", "verify.control=1.0"):
         code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", gone])
         assert code == 2
         assert err.startswith("ERROR[config]: unknown config key")
@@ -696,8 +768,8 @@ def test_fingerprint_covers_surface(tmp_path, capsys):
     (["verify", "--set", "verify.constant_law=5"], "verify.constant_law"),
     (["verify", "--set", "verify.mode=feedback", "--set", "verify.constant_law=5"],
      "verify.constant_law"),
-    (["verify", "--set", "verify.mode=viscosity", "--set", "verify.control=5"],
-     "verify.control"),
+    (["verify", "--set", "verify.mode=viscosity", "--set", "verify.constant_law=5"],
+     "verify.constant_law"),
 ], ids=["cost-reflected", "cost-tree", "cost-tree-below", "verify-classical-law",
         "verify-feedback-law", "verify-viscosity-control"])
 def test_out_of_set_control_refused(tmp_path, capsys, argv, key):

@@ -10,6 +10,7 @@ from rfbsde import (ConfigError, OpenLoopControl, TimeGrid, cost_functional,
 from rfbsde.hjb import (SpaceTimeGrid, _hamiltonian_grid, _state_control_tables,
                         solve_obstacle_hjb)
 from rfbsde.model import ControlModel, ControlSet, example_classical, zero_model
+from rfbsde.rbsde import SolverConfig, _node0_estimate
 from rfbsde.simulate import simulate_closed_loop
 from rfbsde.synthesis import FeedbackLaw, check_law_regularity, simulate_law
 
@@ -138,6 +139,20 @@ def test_constant_law_runs_as_open_loop_constant(viscosity_model, viscosity_law)
         assert np.array_equal(ens.states, ref.states)
         assert np.array_equal(ens.controls, ref.controls)
         assert (ens.controls.strides[1] == 0) == (law.table is None)
+
+
+def test_single_valued_table_runs_as_constant(classical_model, classical_law):
+    # example-classical's extracted law is 0 at every node: it runs as the
+    # constant 0, from one shared control column, and costs what the
+    # closed loop costs, diagnostics included
+    grid = TimeGrid(0.0, 1.0, 50)
+    ens = simulate_law(classical_model, classical_law, 0.0, 1.0, grid, 2000, 5)
+    assert ens.controls.strides == (8, 0)
+    est = evaluate_feedback(classical_model, classical_law, 0.0, 1.0, grid, 2000, seed=5)
+    ref = _node0_estimate(classical_model, simulate_closed_loop(
+        classical_model, classical_law, 0.0, 1.0, grid, 2000, 5), SolverConfig())
+    assert (est.value, est.stderr, est.diagnostics) == \
+        (ref.value, ref.stderr, ref.diagnostics)
 
 
 def test_evaluate_refuses_irregular_law(viscosity_model, viscosity_law):

@@ -363,7 +363,8 @@ def test_verify_viscosity_exact_zero_slacks(viscosity_candidate):
     cfg = VerifyConfig(n_paths=500, steps=50, seed=11)
     battery = build_control_battery(model, 0.0, 11, n_random=3)
     report = verify_viscosity_conditions(
-        model, viscosity_candidate, 0.0, 0.0, OpenLoopControl.constant(1.0),
+        model, viscosity_candidate, 0.0, 0.0,
+        FeedbackLaw.constant(1.0, model.control_set),
         lambda s, x: (0.0, 1.0, 0.0), cfg, battery=battery)
     assert report.passed
     by_name = {c.name: c for c in report.conditions}
@@ -380,7 +381,8 @@ def test_verify_viscosity_zero_model():
     surface = solve_obstacle_hjb(model, grid)
     cfg = VerifyConfig(n_paths=200, steps=25, seed=4)
     report = verify_viscosity_conditions(
-        model, surface, 0.0, 0.0, OpenLoopControl.constant(0.0),
+        model, surface, 0.0, 0.0,
+        FeedbackLaw.constant(0.0, model.control_set),
         lambda s, x: (0.0, 0.0, 0.0), cfg)
     assert report.passed
     assert all(c.slack == 0.0 for c in report.conditions)
@@ -390,7 +392,8 @@ def test_verify_viscosity_rejects_bad_curvature(viscosity_candidate):
     model = example_viscosity()
     cfg = VerifyConfig(n_paths=500, steps=50, seed=11)
     report = verify_viscosity_conditions(
-        model, viscosity_candidate, 0.0, 0.0, OpenLoopControl.constant(1.0),
+        model, viscosity_candidate, 0.0, 0.0,
+        FeedbackLaw.constant(1.0, model.control_set),
         lambda s, x: (0.0, 1.0, -1.0), cfg)
     assert report.status == "fail"
     assert [c for c in report.conditions
@@ -404,7 +407,8 @@ def test_monotone_tolerance_never_flips_pass(viscosity_candidate):
                          probe=MembershipProbe(member_tol=0.2, nonmember_tol=0.5))
     for cfg in (base, loose):
         rep = verify_viscosity_conditions(
-            model, viscosity_candidate, 0.0, 0.0, OpenLoopControl.constant(1.0),
+            model, viscosity_candidate, 0.0, 0.0,
+            FeedbackLaw.constant(1.0, model.control_set),
             lambda s, x: (0.0, 1.0, 0.0), cfg)
         assert rep.passed
 
@@ -413,7 +417,8 @@ def test_report_determinism(viscosity_candidate):
     model = example_viscosity()
     cfg = VerifyConfig(n_paths=300, steps=30, seed=11)
     reps = [verify_viscosity_conditions(
-        model, viscosity_candidate, 0.0, 0.0, OpenLoopControl.constant(1.0),
+        model, viscosity_candidate, 0.0, 0.0,
+        FeedbackLaw.constant(1.0, model.control_set),
         lambda s, x: (0.0, 1.0, 0.0), cfg).to_dict() for _ in range(2)]
     assert reps[0] == reps[1]
 
@@ -525,20 +530,23 @@ def test_closed_loop_route_holds_no_solution_tables(viscosity_candidate):
 def test_closed_loop_reports_pinned(viscosity_candidate):
     # sha256 of the sorted-key JSON of a feedback-route and a viscosity-route
     # report, pinned while the routes still stored the reflected solution:
-    # reading the backward pass node by node must not move a digit
+    # reading the backward pass node by node must not move a digit.  The
+    # viscosity hash was re-pinned when its fingerprint took in the law, the
+    # battery labels and the budget; no other field of that report moved
     model = example_viscosity()
     cfg = VerifyConfig(n_paths=1000, steps=20, seed=3)
     feedback = verify_feedback_optimality(
         model, viscosity_candidate, FeedbackLaw.constant(2.0, model.control_set),
         tables_from_surface(viscosity_candidate), 0.0, 0.5, cfg)
     viscosity = verify_viscosity_conditions(
-        model, viscosity_candidate, 0.0, 0.5, OpenLoopControl.constant(1.5),
+        model, viscosity_candidate, 0.0, 0.5,
+        FeedbackLaw.constant(1.5, model.control_set),
         tables_from_surface(viscosity_candidate), cfg,
         battery=build_control_battery(model, 0.0, 3, 2, 4))
     got = [hashlib.sha256(json.dumps(r.to_dict(), sort_keys=True).encode()).hexdigest()
            for r in (feedback, viscosity)]
     assert got == ["03fd4b6fff626b622686f0634d7ef0e2c87ee3d6d1fab48ac1f666f5424a9532",
-                   "1736cd7fa663b9ff4601126e43d1dbcc92f5d5c0f07d75917fbbf8c94710f347"]
+                   "95267911d8206b3be6e30d72d030ce9f60e73c2b22e31a3fc9307c6701f7f683"]
 
 
 def test_tables_from_surface_reads_expansion_rows(viscosity_candidate):
