@@ -14,8 +14,8 @@ Three routes to the same quantity:
 Both Monte Carlo schemes run one backward loop, a stream of nodes from the
 horizon down that keeps only the next node's value; the solvers store it as
 tables, the closed-loop verification conditions read it node by node.  A
-cost's per-path contributions are one forward fold, fed from the stored
-tables or, keeping only driver credits and nonzero pushes, from the stream.
+cost's per-path contributions are folded in the order the stream yields its
+nodes, so no slope or driver-credit table is kept for them.
 Conditional expectations use least-squares polynomial regression on the
 state (state binning as fallback); the node-0 estimate degenerates to the
 plain cross-path mean because all paths share the initial state.
@@ -59,7 +59,8 @@ class RbsdeSolution:
     """Discrete (value, martingale-slope, reflection) triple on an ensemble.
 
     ``value`` is (paths, steps+1); ``slope`` holds the per-interval martingale
-    coefficient on nodes 0..steps-1 (last column zero by convention);
+    coefficient on nodes 0..steps-1 (last column zero by convention), and is
+    ``None`` in the solution :func:`cost_functional` returns, which keeps none;
     ``pushes`` is (paths, steps), the projection amount at each node.  The
     cumulative nondecreasing ``reflection`` (paths, steps+1), with
     reflection[:,0]=0, is not stored: each access builds it from the pushes.
@@ -69,7 +70,7 @@ class RbsdeSolution:
     """
 
     value: np.ndarray
-    slope: np.ndarray
+    slope: Optional[np.ndarray]
     pushes: np.ndarray
     diagnostics: dict
 
@@ -305,47 +306,13 @@ def solve_reflected(model, ensemble, config=SolverConfig()):
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Node-0 value, standard error, diagnostics; tables from cost_functional."""
+    """Node-0 value, standard error, diagnostics; the value and push tables
+    from cost_functional, none from a streamed estimate."""
 
     value: float
     stderr: float
     diagnostics: dict
     solution: Optional[RbsdeSolution] = None
-
-
-def _credit(model, ensemble, i, y, z):
-    """Driver integrated over interval i: driver(t_i, x_i, y_i, z_i, u_i)·dt."""
-    grid = ensemble.grid
-    return np.asarray(model.driver(grid.nodes[i], ensemble.states[:, i], y, z,
-                                   ensemble.controls[:, i]), dtype=float) * grid.dt
-
-
-def _fold(model, ensemble, nodes):
-    """Per-path functional contributions: terminal + integrated driver - push.
-
-    Taking expectations in the backward equation at the initial time kills the
-    martingale integral, so the node-0 value is the mean of these; their
-    spread carries the true sampling noise of the estimate, which the
-    regression-smoothed backward values hide.  ``nodes`` yields each node's
-    driver credit and pushes ``(where, amount)`` in forward order; pushes are
-    summed from zero as ``RbsdeSolution.reflection`` adds them, so zero
-    pushes left out change no bit.
-    """
-    xi = np.asarray(model.terminal(ensemble.states[:, ensemble.grid.steps]),
-                    dtype=float).copy()
-    pushed = np.zeros(len(xi))
-    for credit, where, amount in nodes:
-        xi += credit
-        pushed[where] += amount
-    xi -= pushed
-    return xi
-
-
-def _path_contributions(model, ensemble, sol):
-    """The fold fed from stored tables, each node's credit computed as read."""
-    return _fold(model, ensemble,
-                 ((_credit(model, ensemble, i, sol.value[:, i], sol.slope[:, i]),
-                   slice(None), sol.pushes[:, i]) for i in range(ensemble.grid.steps)))
 
 
 def _stderr(samples):
@@ -357,23 +324,35 @@ def _stderr(samples):
     return float(samples.std(ddof=1) / math.sqrt(n))
 
 
-def _node0_estimate(model, ensemble, config):
+def _node0_estimate(model, ensemble, config, value=None, pushes=None):
     """Reflected cost on an ensemble, folded from the backward stream.
 
-    Keeps one column-major (paths, steps) table of driver credits and each
-    node's nonzero pushes, no solution table; value and standard error are
-    :func:`cost_functional`'s on the same ensemble, bit for bit.
+    The value is the cross-path mean of the stream's node-0 values.  Taking
+    expectations in the backward equation at the initial time kills the
+    martingale integral, so it is also the mean of the per-path contributions
+    terminal + integrated driver - reflection; their spread carries the true
+    sampling noise of the estimate, which the regression-smoothed backward
+    values hide.  As each node arrives, its driver credit
+    driver(t_i, x_i, y_i, z_i, u_i)·dt is added to the contribution and its
+    push to one running total, subtracted at the end.  No table is kept
+    unless ``value`` (paths, steps+1) or ``pushes`` (paths, steps) is passed
+    to receive the stream's columns.
     """
-    steps = ensemble.grid.steps
-    credits = np.empty((ensemble.n_paths, steps), order="F")
-    pushes = [None] * steps
+    grid = ensemble.grid
     diagnostics = {}
+    pushed = np.zeros(ensemble.n_paths)
     for i, y, z, push in _backward_pass(model, ensemble, config, None, diagnostics):
-        if push is not None:          # every node but the terminal one
-            credits[:, i] = _credit(model, ensemble, i, y, z)
-            where = np.flatnonzero(push)
-            pushes[i] = (where, push[where])
-    xi = _fold(model, ensemble, ((credits[:, i], *pushes[i]) for i in range(steps)))
+        if value is not None:
+            value[:, i] = y
+        if push is None:              # the terminal node
+            xi = y.copy()
+            continue
+        xi += np.asarray(model.driver(grid.nodes[i], ensemble.states[:, i], y, z,
+                                      ensemble.controls[:, i]), dtype=float) * grid.dt
+        pushed += push
+        if pushes is not None:
+            pushes[:, i] = push
+    xi -= pushed
     return CostEstimate(value=float(y.mean()), stderr=_stderr(xi),
                         diagnostics=diagnostics)
 
@@ -382,16 +361,21 @@ def cost_functional(model, start_time, start_state, control, grid, n_paths, seed
                     config=SolverConfig()):
     """Value of the reflected backward equation at the initial node.
 
-    Composes forward simulation with the reflected solver; the reported value
-    is the cross-path node-0 estimate (deterministic at the initial time) with
-    the standard error of the mean path contribution; it keeps the tables.
+    Composes forward simulation with the reflected backward pass; the
+    reported value is the cross-path node-0 estimate (deterministic at the
+    initial time) with the standard error of the mean path contribution.  It
+    keeps the value and push tables of the pass, not the slope.
     """
     ensemble = simulate_paths(model, start_time, start_state, control, grid,
                               n_paths, seed)
-    sol = solve_reflected(model, ensemble, config)
-    return CostEstimate(value=float(sol.value[:, 0].mean()),
-                        stderr=_stderr(_path_contributions(model, ensemble, sol)),
-                        diagnostics=sol.diagnostics, solution=sol)
+    n_paths, n_nodes = ensemble.states.shape
+    value = np.empty((n_paths, n_nodes), order="F")
+    pushes = np.empty((n_paths, n_nodes - 1), order="F")
+    est = _node0_estimate(model, ensemble, config, value, pushes)
+    return CostEstimate(value=est.value, stderr=est.stderr,
+                        diagnostics=est.diagnostics,
+                        solution=RbsdeSolution(value=value, slope=None, pushes=pushes,
+                                               diagnostics=est.diagnostics))
 
 
 def tree_oracle(model, start_time, start_state, policy, depth):

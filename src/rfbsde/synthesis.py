@@ -97,8 +97,8 @@ def evaluate_feedback(model, law, start_time, start_state, grid, n_paths, seed,
     Refuses laws that fail the regularity check unless explicitly overridden;
     an irregular law may still be evaluable, but the smooth-case guarantees
     no longer apply and the caller should know it.  The cost is folded from
-    the backward stream, keeping driver credits and nonzero pushes but no
-    solution table.
+    the backward stream as its nodes arrive, keeping no table beyond the
+    ensemble.
     """
     report = check_law_regularity(law)
     if not report.member and not allow_irregular:

@@ -441,8 +441,8 @@ def _closed_loop_conditions(model, surface, law, start_time, start_state, grid,
                f"({counts['non-member']} rejected, {counts['skipped']} off-box)",
         terms=counts)
 
-    sums = np.empty((steps, 2))       # per node: sum diff^2, sum z^2
-    integrand = np.empty((ensemble.n_paths, steps), order="F")
+    num = den = 0.0
+    integrals = np.zeros(ensemble.n_paths)
     for i, y, z, _ in _backward_pass(model, ensemble, config.solver, None, {}):
         if i == steps:
             continue
@@ -451,15 +451,9 @@ def _closed_loop_conditions(model, surface, law, start_time, start_state, grid,
         q, p, pp = candidate_triple(s, x)
         coef = coefficients(model, s, x, y, p, ensemble.controls[:, i])
         diff = p * coef[0] - z
-        sums[i] = np.sum(diff * diff), np.sum(z * z)
-        integrand[:, i] = (q + _assemble(coef, p, pp)) * dt
-
-    num = den = 0.0
-    integrals = np.zeros(ensemble.n_paths)
-    for i in range(steps):   # forward order: the sums do not depend on the stream direction
-        num += float(sums[i, 0]) * dt
-        den += float(sums[i, 1]) * dt
-        integrals += integrand[:, i]
+        num += float(np.sum(diff * diff)) * dt
+        den += float(np.sum(z * z)) * dt
+        integrals += (q + _assemble(coef, p, pp)) * dt
     cond_z = _band(names[1], num / max(den, 1e-24), 0.0, config.z_tol,
                    detail="relative mean-square gap of slope identity")
 

@@ -118,13 +118,29 @@ def test_cost_viscosity_optimal_pair_zero():
     assert est.stderr == 0.0
 
 
+def _contributions(model, ens, sol, nodes):
+    """Per-path terminal + integrated driver - reflection from stored tables,
+    adding the nodes in the order given and the pushes to one running total."""
+    grid = ens.grid
+    xi = sol.value[:, grid.steps].copy()
+    pushed = np.zeros(ens.n_paths)
+    for i in nodes:
+        xi += np.asarray(model.driver(grid.nodes[i], ens.states[:, i], sol.value[:, i],
+                                      sol.slope[:, i], ens.controls[:, i]),
+                         dtype=float) * grid.dt
+        pushed += sol.pushes[:, i]
+    return xi - pushed
+
+
 def test_cost_stderr_is_plain_mean_formula():
     model = example_classical()
     grid = TimeGrid(0.0, 1.0, 20)
     ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0), grid,
                          500, seed=3)
     est = rbsde._node0_estimate(model, ens, SolverConfig())
-    xi = rbsde._path_contributions(model, ens, solve_reflected(model, ens))
+    # the stored tables folded in the order the backward stream yields nodes
+    xi = _contributions(model, ens, solve_reflected(model, ens),
+                        range(grid.steps - 1, -1, -1))
     assert est.stderr == xi.std(ddof=1) / math.sqrt(len(xi))
     assert est.stderr > 0.0
     with pytest.raises(ConfigError, match="at least two samples, got 1"):
@@ -137,8 +153,8 @@ def test_cost_stderr_is_plain_mean_formula():
     OpenLoopControl.from_function(lambda t: 1.0 + (t >= 0.5))],
     ids=["constant", "time"])
 def test_streamed_estimate_is_the_stored_one(control):
-    # reflection active from 0.5: the stream's credits and sparse pushes fold
-    # to the value, stderr and diagnostics of the stored tables, bit for bit
+    # reflection active from 0.5: storing the value and push columns as the
+    # stream passes moves no bit of the value, stderr or diagnostics
     model = example_viscosity()
     grid = TimeGrid(0.0, 1.0, 20)
     stored = cost_functional(model, 0.0, 0.5, control, grid, 800, seed=6)
@@ -148,6 +164,31 @@ def test_streamed_estimate_is_the_stored_one(control):
     assert streamed.solution is None
     assert (streamed.value, streamed.stderr) == (stored.value, stored.stderr)
     assert streamed.diagnostics == stored.diagnostics
+
+
+@pytest.mark.parametrize("model, x0, u, seed", [
+    (example_classical(), 1.0, 0.0, 31),
+    (example_classical(), 0.3, 0.0, 32),
+    (example_viscosity(), 0.5, 2.0, 33),          # reflection active
+    (random_lipschitz_model(2), 0.2, 0.5, 34)],   # driver reads z
+    ids=["classical-1", "classical-0.3", "viscosity-0.5", "lipschitz-2"])
+def test_fold_order_moves_only_rounding(model, x0, u, seed):
+    grid = TimeGrid(0.0, 1.0, 30)
+    control = OpenLoopControl.constant(u)
+    est = cost_functional(model, 0.0, x0, control, grid, 1500, seed=seed)
+    ens = simulate_paths(model, 0.0, x0, control, grid, 1500, seed=seed)
+    sol = solve_reflected(model, ens)
+    assert est.value == sol.value[:, 0].mean()
+    assert est.solution.slope is None
+    assert est.solution.value.tobytes() == sol.value.tobytes()
+    assert est.solution.pushes.tobytes() == sol.pushes.tobytes()
+    assert est.solution.diagnostics == sol.diagnostics
+    forward = _contributions(model, ens, sol, range(grid.steps))
+    se = forward.std(ddof=1) / math.sqrt(len(forward))
+    assert abs(est.stderr - se) <= 1e-12 * se
+    streamed = rbsde._node0_estimate(model, ens, SolverConfig())
+    assert (streamed.value, streamed.stderr) == (est.value, est.stderr)
+    assert streamed.diagnostics == est.diagnostics
 
 
 def test_solution_invariants(classical_ensemble):
@@ -381,17 +422,26 @@ def test_reflection_is_the_running_push_sum(classical_ensemble):
 
 
 def test_cost_functional_memory_guard():
-    # states, increments, value, slope and pushes are the five tables a
-    # cost run holds; the constant control and the reflection are not stored
-    n_paths, steps = 20_000, 50
+    # states, increments, value and pushes are the four tables a cost run
+    # holds, and it returns the last two; the constant control, the slope
+    # and the reflection are not stored, the contributions are folded
+    n_paths, steps = 4000, 50
+    grid = TimeGrid(0.0, 1.0, steps)
+    control = OpenLoopControl.constant(0.0)
+    # a small run first, so lazy imports and caches are not counted
+    cost_functional(example_classical(), 0.0, 1.0, control, grid, 50, seed=5)
     tracemalloc.start()
     try:
-        cost_functional(example_classical(), 0.0, 1.0, OpenLoopControl.constant(0.0),
-                        TimeGrid(0.0, 1.0, steps), n_paths, seed=5)
-        _, peak = tracemalloc.get_traced_memory()
+        base = tracemalloc.get_traced_memory()[0]
+        est = cost_functional(example_classical(), 0.0, 1.0, control, grid,
+                              n_paths, seed=5)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * n_paths * steps * 8
+    table = n_paths * (steps + 1) * 8
+    assert est.solution.slope is None
+    assert peak < 4.8 * table
+    assert held < 2.5 * table
 
 
 def test_solutions_pinned():
