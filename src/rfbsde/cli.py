@@ -18,6 +18,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 import resource
 import sys
 import time
@@ -27,12 +28,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RfbsdeError
-from .hjb import (SpaceTimeGrid, candidate_surface, hamiltonian_minima, residual,
-                  solve_obstacle_hjb, write_grid_csv, write_surface_csv)
+from .hjb import (SpaceTimeGrid, ValueSurface, _RowSteps, candidate_surface,
+                  grid_csv_row, solve_obstacle_hjb, surface_csv_comments,
+                  surface_rows, write_grid_lines)
 from .model import ProbeGrid, build_model, validate_assumptions
 from .rbsde import SolverConfig, tree_oracle
 from .simulate import TimeGrid
-from .synthesis import FeedbackLaw, evaluate_feedback, extract_feedback, write_law_csv
+from .synthesis import FeedbackLaw, evaluate_feedback, extract_feedback, law_csv_comments
 from .verify import (MembershipProbe, VerifyConfig,
                      build_control_battery, tables_from_surface,
                      verify_classical, verify_feedback_optimality,
@@ -142,7 +144,6 @@ class _Run:
         self.artifacts = []
         self.timings = {}
         self.extra = {}
-        self._writers = []
         self._t0 = time.time()
 
     @contextlib.contextmanager
@@ -159,38 +160,8 @@ class _Run:
         self.artifacts.append(str(p))
         return p
 
-    def write_behind(self, fn, *args):
-        """Start ``fn(*args)``, with the artifact's path among ``args``, in a
-        forked child and return; :meth:`join` waits for it.
-
-        The child inherits the arguments copy-on-write, so no table is
-        pickled or copied.  It only formats and writes, which takes no lock
-        another thread of the parent could hold at the fork.
-        """
-        import multiprocessing   # here: commands that start no writer skip the import
-        with self.stage("write_csv"):
-            proc = multiprocessing.get_context("fork").Process(target=fn, args=args)
-            proc.start()
-        self._writers.append((proc, next(a for a in args if isinstance(a, Path))))
-
-    def join(self):
-        """Wait for every writer :meth:`write_behind` started, timed as
-        ``write_csv``; a writer that failed is an ``OSError`` naming its
-        artifact and exit code."""
-        writers, self._writers = self._writers, []
-        if not writers:
-            return
-        with self.stage("write_csv"):
-            for proc, _ in writers:
-                proc.join()
-        failed = [f"{path} (writer exit code {proc.exitcode})"
-                  for proc, path in writers if proc.exitcode != 0]
-        if failed:
-            raise OSError(f"writing {', '.join(failed)} failed")
-
     def finish(self):
-        self.join()
-        # ru_maxrss (KiB) of this process and of its largest joined child
+        # ru_maxrss (KiB) of this process and of its largest waited-for child
         peak = {k: round(resource.getrusage(who).ru_maxrss / 1024.0, 3) for k, who in
                 (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
         manifest = {
@@ -207,6 +178,91 @@ class _Run:
         with open(p, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         return manifest
+
+
+def _children_cpu_s():
+    """User plus system CPU of the waited-for children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+class _CsvWriter:
+    """One forked child that writes a CSV file of each table the parent fills.
+
+    The tables live in one anonymous shared mapping, so the child reads the
+    rows the parent stores.  :meth:`final_from` notes on a pipe that rows
+    ``k`` and above are final; the child formats them (:func:`grid_csv_row`)
+    as the note arrives, while the parent computes the next rows, and writes
+    the files in forward time order after the note for row 0.  It formats
+    and writes only, taking no lock another thread of the parent could
+    hold at the fork.
+    """
+
+    def __init__(self, grid, count):
+        import mmap
+        import multiprocessing   # here: commands that start no writer skip both imports
+        shape = (count, grid.t_steps + 1, grid.x_steps + 1)
+        # the tables, then the index of the file the child is writing
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (math.prod(shape) + 1)), dtype=float)
+        self.tables = shared[:-1].reshape(shape)
+        self._writing = shared[-1:]
+        self._writing[0] = -1
+        self._grid = grid
+        self._fork = multiprocessing.get_context("fork")
+        self.cpu_s = 0.0
+
+    def start(self, files):
+        """Fork the child that writes ``files``, one (path, comment lines)
+        pair per table."""
+        self._paths = [path for path, _ in files]
+        notes, self._notes = self._fork.Pipe(duplex=False)
+        self._child = self._fork.Process(target=self._write, args=(notes, files))
+        self._child.start()
+        notes.close()
+
+    def _write(self, notes, files):
+        self._notes.close()   # the parent's end, which the fork duplicated
+        times = self._grid.times.tolist()
+        lines = [[None] * len(times) for _ in files]
+        final = len(times)
+        while final:
+            try:
+                k = notes.recv()
+            except EOFError:     # the parent stopped short: write nothing
+                return
+            for out, table in zip(lines, self.tables):
+                out[k:final] = map(grid_csv_row, times[k:final], table[k:final])
+            final = k
+        for j, ((path, comments), out) in enumerate(zip(files, lines)):
+            self._writing[0] = j
+            write_grid_lines(path, comments, self._grid, out)
+
+    def final_from(self, k):
+        """Note that rows ``k`` and above of every table are final."""
+        try:
+            self._notes.send(k)
+        except BrokenPipeError:    # the child has exited: join says why
+            self.join()
+            raise
+
+    def join(self):
+        """Wait for the child and add its CPU time to ``cpu_s``.
+
+        Closing the pipe first makes a child still waiting for rows exit
+        without writing.  A child that failed is an ``OSError`` naming the
+        file it was writing (every file, if it failed before writing) and
+        its exit code.
+        """
+        self._notes.close()
+        before = _children_cpu_s()
+        self._child.join()
+        self.cpu_s += _children_cpu_s() - before
+        code = self._child.exitcode
+        if code:
+            j = int(self._writing[0])
+            failed = self._paths[j:j + 1] if j >= 0 else self._paths
+            raise OSError(f"writing {', '.join(map(str, failed))} "
+                          f"(writer exit code {code}) failed")
 
 
 def _at(cfg, key):
@@ -298,51 +354,95 @@ def _surface_for(cfg, model, key):
                               scheme=p["scheme"], penalty_level=level)
 
 
+def _surface_rows(cfg, model):
+    """(grid, provenance, rows) of the surface :func:`_surface_for` gives
+    for ``pde.surface``, its value rows streamed from the horizon down as
+    :func:`surface_rows` streams them."""
+    if _choice(cfg, "pde.surface", ("computed", "candidate")) == "candidate":
+        s = candidate_surface(model, _pde_grid(cfg, model))
+        return s.grid, s.provenance, ((i, s.values[i]) for i in range(len(s.values) - 1, -1, -1))
+    p = cfg["pde"]
+    level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
+    grid = _pde_grid(cfg, model)
+    return (grid,) + surface_rows(model, grid, p["scheme"], level)
+
+
 def cmd_solve(cfg):
     """Solve the obstacle PDE; write the surface, residual and law CSVs.
 
-    Each CSV is written by a forked writer (:meth:`_Run.write_behind`) while
-    the parent computes the next table, so ``timings_s["write_csv"]`` is the
-    time the parent spent starting the writers and waiting for them, not
-    the time the writing took.  Every exit waits for the writers first.
+    The command consumes the scheme's time rows from the horizon down.  As
+    row i arrives it stores it with its Hamiltonian minima and law row, the
+    residual row i + 1 (whose neighbours are now in) and the row's obstacle
+    violation, keeping no full-grid Hamiltonian table, and notes rows i + 1
+    and above final to one forked writer (:class:`_CsvWriter`), which
+    formats them on the other core while the scheme runs on.
+    ``timings_s`` sums the scheme's rows as ``solve``, the minima, residual
+    and violation rows as ``residual`` and the law rows as ``law``;
+    ``write_csv`` is the time the command spent starting, noting and
+    waiting for the writer, and ``writer_cpu_s`` the writer's own CPU time.
+    Every exit waits for the writer, which writes no file unless the
+    stream ran to row 0.
     """
     run = _Run(cfg, "solve")
+    model = _model_from(cfg)
+    grid, provenance, rows = _surface_rows(cfg, model)
+    clock = time.perf_counter
+    start = clock()
+    writer = _CsvWriter(grid, 3)
+    values, res, law_table = writer.tables
+    # a surface over the shared table, filled from the horizon down below;
+    # the read-only flag goes on its own view, not on ``values``
+    surface = ValueSurface(grid=grid, values=writer.tables[0], provenance=provenance,
+                           kink_columns=grid.columns_near(model.value_kinks),
+                           model_name=model.name)
+    law = extract_feedback(surface, model, (None, law_table))
+    res[[0, -1]] = np.nan
+    writer.start([(run.path("surface.csv"), surface_csv_comments(surface)),
+                  (run.path("residual.csv"),
+                   ["residual field (NaN at edges and kink columns)"]),
+                  (run.path("law.csv"), law_csv_comments(law))])
     try:
-        model = _model_from(cfg)
-        with run.stage("solve"):
-            surface = _surface_for(cfg, model, "pde.surface")
-        grid = surface.grid
-        run.write_behind(write_surface_csv, surface, run.path("surface.csv"))
-
-        # one Hamiltonian pass serves the residual and the law; each table
-        # is dropped once its writer holds it
-        with run.stage("residual"):
-            minima = hamiltonian_minima(surface, model)
-            res = residual(surface, model, minima)
-        run.write_behind(write_grid_csv, run.path("residual.csv"),
-                         ["residual field (NaN at edges and kink columns)"], grid, res)
-        finite = res[np.isfinite(res)]
-        run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
-        del res, finite
-
-        with run.stage("law"):
-            law = extract_feedback(surface, model, minima)
-        run.write_behind(write_law_csv, law, run.path("law.csv"))
-        del law, minima
-
-        # one time row at a time: the obstacle takes a scalar time, as in the solvers
-        xs = grid.xs
-        violation = float(np.max([
-            np.maximum(w - np.asarray(model.obstacle(t, xs), dtype=float), 0.0).max()
-            for t, w in zip(grid.times, surface.values)]))
-        run.extra["kink_columns"] = list(surface.kink_columns)
-        run.extra["obstacle_violation_max"] = violation
-        run.finish()
+        steps = _RowSteps(surface, model)
+        xs, times, last = grid.xs, grid.times, grid.t_steps
+        over = np.empty(last + 1)
+        mark = clock()
+        spent = {"solve": 0.0, "residual": 0.0, "law": 0.0, "write_csv": mark - start}
+        for i, w in rows:
+            t_row = clock()
+            values[i] = w
+            hmin, law_row = steps.minima(i, *steps.derivatives(w))
+            # the obstacle takes a scalar time, as in the solvers
+            over[i] = np.maximum(w - np.asarray(model.obstacle(times[i], xs), dtype=float),
+                                 0.0).max()
+            if i < last - 1:     # residual row i + 1 has both neighbours now
+                steps.residual(i + 1, hmin_above, res[i + 1])
+            hmin_above = hmin
+            t_law = clock()
+            law_table[i] = law_row
+            t_note = clock()
+            if i < last:
+                writer.final_from(i + 1)
+            spent["solve"] += t_row - mark
+            spent["residual"] += t_law - t_row
+            spent["law"] += t_note - t_law
+            mark = clock()
+            spent["write_csv"] += mark - t_note
+        writer.final_from(0)
+        writer.join()
+        spent["write_csv"] += clock() - mark
     except BaseException:
-        # wait for the writers; the error in flight, not theirs, is reported
+        # stop the writer; the error in flight, not its, is reported
         with contextlib.suppress(OSError):
-            run.join()
+            writer.join()
         raise
+    run.timings.update(spent)
+    finite = res[np.isfinite(res)]
+    violation = float(over.max())
+    run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
+    run.extra["kink_columns"] = list(surface.kink_columns)
+    run.extra["obstacle_violation_max"] = violation
+    run.extra["writer_cpu_s"] = round(writer.cpu_s, 3)
+    run.finish()
     print(f"surface: {surface.provenance}")
     print(f"residual max (interior): {run.extra['residual_max']:.6g}")
     print(f"obstacle violation max: {violation:.6g}")

@@ -16,6 +16,13 @@ scheme refills them by quadratic extrapolation from interior values after
 each step, and the implicit scheme's edge rows impose linear extrapolation.
 The explicit scheme is monotone under the parabolic step-size bound;
 requested time steps above the bound are split into internal substeps.
+
+Both schemes are streams of time rows from the horizon down
+(:func:`surface_rows`), which :func:`solve_obstacle_hjb` collects.  The
+Hamiltonian minima and the residual are built on per-row steps that read
+at most three neighbouring rows, so a consumer of the stream (``rfbsde
+solve``) takes them as the rows arrive and keeps no full-grid Hamiltonian
+table.
 """
 
 import functools
@@ -146,21 +153,29 @@ class ValueSurface:
         v = self.values
         start = np.clip(rows - 1, 0, len(v) - 3)
         wt = _first_difference(v[start[:, None] + np.arange(3)], self.grid.dt, axis=1)
-        return (wt[np.arange(len(rows)), rows - start],) + self._space_derivatives(v[rows])
+        return ((wt[np.arange(len(rows)), rows - start],)
+                + _space_derivatives(v[rows], self.grid.dx, self.kink_columns))
 
-    def _space_derivatives(self, w):
-        """(w_x, w_xx) of the value rows ``w`` (state along the last axis),
-        with the kink-column rule of :meth:`expansion_tables`."""
-        dx, n = self.grid.dx, w.shape[-1]
-        wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
-        for j in self.kink_columns:
-            # one-sided slopes; an edge column has only the one inside
-            left = (w[..., j] - w[..., j - 1]) / dx if j > 0 \
-                else (w[..., j + 1] - w[..., j]) / dx
-            right = (w[..., j + 1] - w[..., j]) / dx if j < n - 1 else left
-            wx[..., j] = 0.5 * (left + right)
-            wxx[..., j] = 0.0
-        return wx, wxx
+
+def _space_derivatives(w, dx, kink_columns):
+    """(w_x, w_xx) of the value rows ``w`` (state along the last axis),
+    with the kink-column rule of :meth:`ValueSurface.expansion_tables`."""
+    wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
+    _kink_rule(w, wx, wxx, dx, kink_columns)
+    return wx, wxx
+
+
+def _kink_rule(w, wx, wxx, dx, kink_columns):
+    """At each kink column, the midpoint of the one-sided slopes of ``w``
+    into ``wx`` and zero into ``wxx``."""
+    n = w.shape[-1]
+    for j in kink_columns:
+        # one-sided slopes; an edge column has only the one inside
+        left = (w[..., j] - w[..., j - 1]) / dx if j > 0 \
+            else (w[..., j + 1] - w[..., j]) / dx
+        right = (w[..., j + 1] - w[..., j]) / dx if j < n - 1 else left
+        wx[..., j] = 0.5 * (left + right)
+        wxx[..., j] = 0.0
 
 
 def _first_difference(a, h, axis=-1):
@@ -257,20 +272,6 @@ def inf_hamiltonian(model, t, x, y, p, pp):
     return vmin, u_grid[mask]
 
 
-def _coefficient_bounds(model, grid):
-    """Sampled sup of sigma^2 and |b| over the box, for the step-size bound."""
-    u_grid = model.control_set.points()
-    xs = grid.xs
-    s2max, bmax = 0.0, 0.0
-    for t in (0.0, 0.5 * grid.horizon, grid.horizon):
-        for u in u_grid:
-            sig = np.asarray(model.diffusion(t, xs, u), dtype=float)
-            b = np.asarray(model.drift(t, xs, u), dtype=float)
-            s2max = max(s2max, float(np.max(sig * sig)))
-            bmax = max(bmax, float(np.max(np.abs(b))))
-    return s2max, bmax
-
-
 def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     """Backward solve of the obstacle equation on the grid.
 
@@ -286,7 +287,26 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     approximation of the variational inequality is exposed for convergence
     studies; the provenance then ends in ``penalty=<level>``.
 
-    Bad arguments are refused before any model call.
+    Bad arguments are refused before any model call.  The values are the
+    rows of :func:`surface_rows`, collected.
+    """
+    provenance, rows = surface_rows(model, grid, scheme, penalty_level)
+    values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
+    for i, w in rows:
+        values[i] = w
+    return ValueSurface(grid=grid, values=values, provenance=provenance,
+                        kink_columns=grid.columns_near(model.value_kinks),
+                        model_name=model.name)
+
+
+def surface_rows(model, grid, scheme="explicit", penalty_level=None):
+    """The solve of :func:`solve_obstacle_hjb` as ``(provenance, rows)``.
+
+    ``rows`` yields ``(i, w)``, the value row at time index ``i``, from the
+    horizon down to 0.  A consumer must not write into ``w``; it copies
+    what it keeps.  The arguments are checked, and the explicit scheme's
+    substeps fixed, before this returns; a numerical failure raises when
+    the stream reaches its time step.
     """
     if abs(grid.horizon - model.horizon) > 1e-12:
         raise ConfigError("grid horizon must match the model horizon")
@@ -295,42 +315,66 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     if penalty_level is not None and not penalty_level > 0:
         raise ConfigError(f"penalty level must be positive, got {penalty_level!r}")
     if scheme == "explicit":
-        values, meta = _solve_explicit(model, grid, penalty_level)
+        substeps = _explicit_substeps(model, grid)
+        meta = f"scheme=explicit, substeps={substeps}, boundary=extrap2"
+        rows = _explicit_rows(model, grid, penalty_level, substeps)
     else:
-        values, meta = _solve_policy_iteration(model, grid, penalty_level)
+        meta = "scheme=implicit, boundary=extrap1"
+        rows = _implicit_rows(model, grid, penalty_level)
     if penalty_level is not None:
         meta += f", penalty={penalty_level:g}"
-    return ValueSurface(grid=grid, values=values,
-                        provenance=f"computed({meta})",
-                        kink_columns=grid.columns_near(model.value_kinks),
-                        model_name=model.name)
+    return f"computed({meta})", rows
 
 
-def _solve_explicit(model, grid, penalty_level):
-    xs, dt, dx = grid.xs, grid.dt, grid.dx
-    s2max, bmax = _coefficient_bounds(model, grid)
+def _explicit_substeps(model, grid):
+    """Substeps per time step under the parabolic bound, from the sampled
+    sup of sigma^2 and |b| over the box."""
+    u_grid = model.control_set.points()
+    xs, dx = grid.xs, grid.dx
+    s2max, bmax = 0.0, 0.0
+    for t in (0.0, 0.5 * grid.horizon, grid.horizon):
+        for u in u_grid:
+            sig = np.asarray(model.diffusion(t, xs, u), dtype=float)
+            b = np.asarray(model.drift(t, xs, u), dtype=float)
+            s2max = max(s2max, float(np.max(sig * sig)))
+            bmax = max(bmax, float(np.max(np.abs(b))))
     stable_dt = dx * dx / max(s2max + bmax * dx, 1e-300)
-    substeps = max(1, int(math.ceil(dt / stable_dt)))
+    return max(1, int(math.ceil(grid.dt / stable_dt)))
 
+
+def _terminal_row(model, grid):
+    """The terminal data on the state nodes, as a row of its own."""
+    w = np.empty(grid.x_steps + 1)
+    w[:] = np.asarray(model.terminal(grid.xs), dtype=float)
+    return w
+
+
+def _explicit_rows(model, grid, penalty_level, substeps):
+    xs, dt, dx = grid.xs, grid.dt, grid.dx
     tables = _state_control_tables(model, xs[1:-1])
     h = np.empty(tables[0].shape)
+    # row buffers every substep reuses; the model only reads them
+    wx, wxx, step = np.empty((3, grid.x_steps - 1))
+    w_new = np.empty(grid.x_steps + 1)
     times = grid.times
-    values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
-    values[-1] = np.asarray(model.terminal(xs), dtype=float)
     sub_dt = dt / substeps
 
     two_dx, dx2 = 2 * dx, dx ** 2
-    w = values[-1].copy()
+    w = _terminal_row(model, grid)
+    yield grid.t_steps, w
     for i in range(grid.t_steps - 1, -1, -1):
         for k in range(substeps):
             t_lvl = times[i + 1] - k * sub_dt
             t_new = t_lvl - sub_dt
             up, mid, down = w[2:], w[1:-1], w[:-2]
-            wx = (up - down) / two_dx
-            wxx = (up - 2 * mid + down) / dx2
-            step = _hamiltonian_grid(model, t_lvl, tables, mid, wx, wxx, h).min(axis=0)
+            np.subtract(up, down, out=wx)
+            wx /= two_dx
+            np.multiply(2, mid, out=wxx)      # (up - 2 mid + down) / dx^2
+            np.subtract(up, wxx, out=wxx)
+            wxx += down
+            wxx /= dx2
+            _hamiltonian_grid(model, t_lvl, tables, mid, wx, wxx, h).min(axis=0, out=step)
             step *= sub_dt
-            w_new = np.empty_like(w)
             np.add(mid, step, out=w_new[1:-1])
             w_new[0] = 3 * w_new[1] - 3 * w_new[2] + w_new[3]
             w_new[-1] = 3 * w_new[-2] - 3 * w_new[-3] + w_new[-4]
@@ -339,8 +383,7 @@ def _solve_explicit(model, grid, penalty_level):
             if not np.isfinite(w).all():
                 raise BackwardSolverError(
                     f"explicit scheme produced non-finite values near t={t_new:.4g}")
-        values[i] = w
-    return values, f"scheme=explicit, substeps={substeps}, boundary=extrap2"
+        yield i, w
 
 
 @functools.cache
@@ -368,14 +411,12 @@ def solve_banded(work, rhs):
     return x, info
 
 
-def _solve_policy_iteration(model, grid, penalty_level):
+def _implicit_rows(model, grid, penalty_level):
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     x_tab, u_tab = _state_control_tables(model, xs[1:-1])
     h = np.empty(x_tab.shape)
     times = grid.times
     n = grid.x_steps + 1
-    values = np.empty((grid.t_steps + 1, n))
-    values[-1] = np.asarray(model.terminal(xs), dtype=float)
     cols = np.arange(n - 2)
     # banded system, bandwidths (2,2): interior rows implicit in the
     # generator, edge rows impose linear extrapolation (set once here)
@@ -388,8 +429,9 @@ def _solve_policy_iteration(model, grid, penalty_level):
     ab[4, -3] = 1.0
     work = np.zeros((7, n), order="F")
 
+    target = _terminal_row(model, grid)
+    yield grid.t_steps, target
     for i in range(grid.t_steps - 1, -1, -1):
-        target = values[i + 1]
         w = target.copy()
         t_new = times[i]
         barrier = np.asarray(model.obstacle(t_new, xs), dtype=float)
@@ -427,8 +469,70 @@ def _solve_policy_iteration(model, grid, penalty_level):
         if not converged:
             raise BackwardSolverError(
                 f"policy iteration not converged at time index {i}")
-        values[i] = w
-    return values, "scheme=implicit, boundary=extrap1"
+        yield i, w
+        target = w
+
+
+class _RowSteps:
+    """The per-row steps of :func:`hamiltonian_minima` and :func:`residual`
+    on one surface and model, with the grids and buffers built once.
+
+    ``minima(i, ...)`` reads value row ``i`` and ``residual(i, ...)`` rows
+    ``i - 1`` to ``i + 1``, so a caller filling ``surface.values`` from the
+    horizon down can take each step as soon as its rows are in.
+    """
+
+    def __init__(self, surface, model):
+        grid = surface.grid
+        self.surface, self.model = surface, model
+        self.times, self.xs, self.dt, self.dx = grid.times, grid.xs, grid.dt, grid.dx
+        self.u_grid = model.control_set.points()
+        self.tables = _state_control_tables(model, self.xs)
+        self.h = np.empty(self.tables[0].shape)
+        self.wx, self.wxx = np.empty((2, grid.x_steps + 1))
+        self.kinks = list(surface.kink_columns)
+
+    def derivatives(self, w):
+        """(w_x, w_xx) of the one value row ``w`` into the step's buffers:
+        the arithmetic of :func:`_space_derivatives`, with the end stencils
+        in Python floats, which on a single row costs a fraction as much."""
+        dx, wx, wxx = self.dx, self.wx, self.wxx
+        inner_x, inner_xx = wx[1:-1], wxx[1:-1]
+        np.subtract(w[2:], w[:-2], out=inner_x)
+        inner_x /= 2 * dx
+        np.multiply(2, w[1:-1], out=inner_xx)
+        np.subtract(w[2:], inner_xx, out=inner_xx)
+        inner_xx += w[:-2]
+        inner_xx /= dx ** 2
+        a0, a1, a2, a3 = w[:4].tolist()
+        b0, b1, b2, b3 = w[:-5:-1].tolist()
+        wx[0] = (-3 * a0 + 4 * a1 - a2) / (2 * dx)
+        wx[-1] = (3 * b0 - 4 * b1 + b2) / (2 * dx)
+        wxx[0] = (2 * a0 - 5 * a1 + 4 * a2 - a3) / dx ** 2
+        wxx[-1] = (2 * b0 - 5 * b1 + 4 * b2 - b3) / dx ** 2
+        _kink_rule(w, wx, wxx, dx, self.kinks)
+        return wx, wxx
+
+    def minima(self, i, wx, wxx):
+        """(H_min, u_min) of value row ``i`` at its gradient and curvature
+        rows ``wx``, ``wxx`` (:meth:`derivatives` of the row, or rows of
+        :func:`_space_derivatives`)."""
+        h = _hamiltonian_grid(self.model, self.times[i], self.tables,
+                              self.surface.values[i], wx, wxx, self.h)
+        vmin = h.min(axis=0)
+        tol = 1e-12 * (1.0 + np.abs(vmin))
+        return vmin, self.u_grid[np.argmax(h <= vmin + tol, axis=0)]
+
+    def residual(self, i, hmin, out):
+        """Residual row ``i`` (an interior one) into ``out`` from the H_min
+        row ``hmin``; NaN at the edge and kink columns."""
+        v = self.surface.values
+        wt = (v[i + 1, 1:-1] - v[i - 1, 1:-1]) / (2 * self.dt)
+        barrier = np.asarray(self.model.obstacle(self.times[i], self.xs[1:-1]), dtype=float)
+        out[1:-1] = np.maximum(v[i, 1:-1] - barrier, -wt - hmin[1:-1])
+        out[0] = out[-1] = np.nan
+        if self.kinks:
+            out[self.kinks] = np.nan
 
 
 def hamiltonian_minima(surface, model):
@@ -442,18 +546,12 @@ def hamiltonian_minima(surface, model):
     ``extract_feedback`` u_min, so a caller needing both passes this pair to
     each instead of evaluating the grid twice.
     """
-    grid = surface.grid
-    u_grid = model.control_set.points()
-    wx, wxx = surface._space_derivatives(surface.values)
-    tables = _state_control_tables(model, grid.xs)
-    h = np.empty(tables[0].shape)
+    steps = _RowSteps(surface, model)
+    wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
     hmin = np.empty_like(surface.values)
     umin = np.empty_like(surface.values)
-    for i, t in enumerate(grid.times):
-        _hamiltonian_grid(model, t, tables, surface.values[i], wx[i], wxx[i], h)
-        vmin = h.min(axis=0, out=hmin[i])
-        tol = 1e-12 * (1.0 + np.abs(vmin))
-        umin[i] = u_grid[np.argmax(h <= vmin + tol, axis=0)]
+    for i in range(len(hmin)):
+        hmin[i], umin[i] = steps.minima(i, wx[i], wxx[i])
     return hmin, umin
 
 
@@ -465,16 +563,11 @@ def residual(surface, model, minima=None):
     is :func:`hamiltonian_minima` of this surface and model, when the caller
     already holds it.
     """
-    grid = surface.grid
     hmin = (hamiltonian_minima(surface, model) if minima is None else minima)[0]
-    wt = _first_difference(surface.values, grid.dt, axis=0)
+    steps = _RowSteps(surface, model)
     out = np.full_like(surface.values, np.nan)
-    times, xs = grid.times, grid.xs[1:-1]
-    for i in range(1, grid.t_steps):
-        w = surface.values[i, 1:-1]
-        barrier = np.asarray(model.obstacle(times[i], xs), dtype=float)
-        out[i, 1:-1] = np.maximum(w - barrier, -wt[i, 1:-1] - hmin[i, 1:-1])
-    out[:, list(surface.kink_columns)] = np.nan
+    for i in range(1, surface.grid.t_steps):
+        steps.residual(i, hmin[i], out[i])
     return out
 
 
@@ -493,26 +586,41 @@ def candidate_surface(model, grid):
                         exact_form=model.value_form, model_name=model.name)
 
 
-def write_grid_csv(path, comments, grid, rows):
-    """Matrix dump: ``# `` comment lines, then one row per time node and one
-    column per state node."""
+def grid_csv_row(t, row):
+    """One CSV line: the time, then the float64 ``row``; float64 ``.tolist()``
+    gives Python floats, whose repr is the format."""
+    return repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n"
+
+
+def write_grid_lines(path, comments, grid, lines):
+    """``# `` comment lines, the state header, then ``lines``, one
+    :func:`grid_csv_row` per time node."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        # float64 .tolist() gives Python floats, whose repr is the format;
-        # one row at a time keeps the list of boxed floats small
-        rows = np.asarray(rows, dtype=float)
         fh.write("time," + ",".join(map(repr, grid.xs.tolist())) + "\n")
-        for i, t in enumerate(grid.times.tolist()):
-            fh.write(repr(t) + "," + ",".join(map(repr, rows[i].tolist())) + "\n")
+        fh.writelines(lines)
+
+
+def write_grid_csv(path, comments, grid, rows):
+    """Matrix dump: ``# `` comment lines, then one row per time node and one
+    column per state node."""
+    # formatted one row at a time, which keeps the list of boxed floats small
+    rows = np.asarray(rows, dtype=float)
+    write_grid_lines(path, comments, grid, map(grid_csv_row, grid.times.tolist(), rows))
+
+
+def surface_csv_comments(surface):
+    """Header lines of the surface CSV: provenance, model, grid and kink
+    columns."""
+    grid = surface.grid
+    return [f"provenance: {surface.provenance}",
+            f"model: {surface.model_name}",
+            f"horizon={grid.horizon!r} x_min={grid.x_min!r} x_max={grid.x_max!r} "
+            f"t_steps={grid.t_steps} x_steps={grid.x_steps}",
+            f"kink_columns: {list(surface.kink_columns)}"]
 
 
 def write_surface_csv(surface, path):
     """Surface matrix with provenance, grid and kink columns in the header."""
-    grid = surface.grid
-    write_grid_csv(path, [
-        f"provenance: {surface.provenance}",
-        f"model: {surface.model_name}",
-        f"horizon={grid.horizon!r} x_min={grid.x_min!r} x_max={grid.x_max!r} "
-        f"t_steps={grid.t_steps} x_steps={grid.x_steps}",
-        f"kink_columns: {list(surface.kink_columns)}"], grid, surface.values)
+    write_grid_csv(path, surface_csv_comments(surface), surface.grid, surface.values)

@@ -127,8 +127,13 @@ def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
                           n_paths, seed)
 
 
+def law_csv_comments(law):
+    """Header lines of the law CSV: provenance and the nearest-node lookup
+    rule."""
+    return [f"provenance: {law.provenance}", "rule: nearest tie_break: smallest"]
+
+
 def write_law_csv(law, path):
     """Control table dump of an extracted law, with the nearest-node lookup
     rule recorded in the header."""
-    write_grid_csv(path, [f"provenance: {law.provenance}",
-                          "rule: nearest tie_break: smallest"], law.grid, law.table)
+    write_grid_csv(path, law_csv_comments(law), law.grid, law.table)

@@ -18,10 +18,11 @@ from rfbsde import SpaceTimeGrid, cli, solve_obstacle_hjb
 from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_verify,
                         load_config, main)
 from rfbsde.errors import BackwardSolverError
-from rfbsde.hjb import candidate_surface
+from rfbsde.hjb import (candidate_surface, residual, write_grid_csv,
+                        write_surface_csv)
 from rfbsde.model import build_model, example_classical
 from rfbsde.rbsde import SolverConfig
-from rfbsde.synthesis import extract_feedback
+from rfbsde.synthesis import extract_feedback, write_law_csv
 from rfbsde.verify import (MembershipProbe, VerifyConfig, build_control_battery,
                            verify_viscosity_conditions)
 
@@ -77,42 +78,89 @@ def test_solve_emits_artifacts_and_manifest(tmp_path, capsys):
 
 
 def test_solve_writer_failure_raises_oserror(tmp_path, capsys, monkeypatch):
-    def broken(*args):
-        raise OSError("disk full")
-    monkeypatch.setattr(cli, "write_grid_csv", broken)
+    write = cli.write_grid_lines
+
+    def broken(path, *args):
+        if path.name == "residual.csv":
+            raise OSError("disk full")
+        write(path, *args)
+    monkeypatch.setattr(cli, "write_grid_lines", broken)
     with pytest.raises(OSError, match=r"residual\.csv \(writer exit code 1\)"):
         main(["solve", "--out", str(tmp_path), *FAST_PDE])
     assert not (tmp_path / "manifest.json").exists()
     assert multiprocessing.active_children() == []
 
 
+def _assert_nothing_written(tmp_path):
+    # no CSV, no manifest and no child left behind
+    assert not list(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
+
+
+def test_writer_failing_before_any_file_names_every_file(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("no format")
+    monkeypatch.setattr(cli, "grid_csv_row", broken)
+    names = r"surface\.csv, \S+residual\.csv, \S+law\.csv \(writer exit code 1\)"
+    with pytest.raises(OSError, match=names):
+        main(["solve", "--out", str(tmp_path), *FAST_PDE])
+    _assert_nothing_written(tmp_path)
+
+
 def test_solve_error_joins_started_writer(tmp_path, capsys, monkeypatch):
-    def failing(*args):
-        raise BackwardSolverError("no residual")
-    monkeypatch.setattr(cli, "residual", failing)
+    # a row helper that raises partway through the stream: the writer had
+    # started and formatted the rows it was given, but writes no file
+    def failing(self, i, hmin, out):
+        if i < 100:
+            raise BackwardSolverError("no residual")
+    monkeypatch.setattr(cli._RowSteps, "residual", failing)
     code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE])
     assert code == 3
     assert err.startswith("ERROR[numerical]: no residual")
-    assert multiprocessing.active_children() == []
-    # the surface writer had started and ran to the end: 4 comment lines,
-    # the state header and one row per time node
-    lines = (tmp_path / "surface.csv").read_text().split("\n")
-    assert len(lines) == 4 + 1 + 201 + 1 and lines[-1] == ""
-    assert not (tmp_path / "manifest.json").exists()
+    _assert_nothing_written(tmp_path)
+
+
+def _drift_nonfinite_before(half):
+    """example-classical whose drift is NaN before time ``half``."""
+    def build(horizon=1.0, control_points=5):
+        m = example_classical(horizon, control_points)
+
+        def drift(r, x, u):
+            return m.drift(r, x, u) + (np.nan if r < half else 0.0)
+        return replace(m, name="nonfinite-halfway", drift=drift)
+    return build
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("explicit", "explicit scheme produced non-finite values near t="),
+    ("implicit", "non-finite implicit system at time index 99"),
+])
+def test_solve_failure_midstream_writes_nothing(tmp_path, capsys, monkeypatch, scheme,
+                                                message):
+    monkeypatch.setitem(rfbsde.model.MODEL_CATALOG, "nonfinite-halfway",
+                        _drift_nonfinite_before(0.5))
+    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE,
+                                "--set", "model.name=nonfinite-halfway",
+                                "--set", f"pde.scheme={scheme}"])
+    assert code == 3
+    assert err.startswith(f"ERROR[numerical]: {message}")
+    _assert_nothing_written(tmp_path)
 
 
 def test_solve_error_in_flight_outranks_failed_writer(tmp_path, capsys, monkeypatch):
+    # the writer fails on the first rows it formats, the residual on the
+    # first row it computes, which comes before the next note to the writer
     def broken(*args):
         raise OSError("disk full")
 
     def failing(*args):
         raise BackwardSolverError("no residual")
-    monkeypatch.setattr(cli, "write_surface_csv", broken)
-    monkeypatch.setattr(cli, "residual", failing)
+    monkeypatch.setattr(cli, "grid_csv_row", broken)
+    monkeypatch.setattr(cli._RowSteps, "residual", failing)
     code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE])
     assert code == 3
     assert err.startswith("ERROR[numerical]: no residual")
-    assert multiprocessing.active_children() == []
+    _assert_nothing_written(tmp_path)
 
 
 def test_piped_stdout_lines_printed_once(tmp_path):
@@ -451,6 +499,45 @@ def test_solve_artifacts_golden_digests(tmp_path, capsys, extra, digests):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in digests}
     assert got == digests
+
+
+@pytest.mark.parametrize("surface_kind, sets", [
+    ("explicit", []),
+    ("implicit", ["--set", "pde.scheme=implicit"]),
+    ("penalty", ["--set", "pde.penalty_level=5"]),
+    ("candidate", ["--set", "pde.surface=candidate"]),
+])
+@pytest.mark.parametrize("model_name, box", [
+    ("example-classical", (0.1, 5.0)),
+    ("example-viscosity", (-5.0, 5.0)),   # kink column 20
+])
+def test_streamed_solve_writes_the_whole_table_bytes(tmp_path, capsys, surface_kind, sets,
+                                                     model_name, box):
+    out = tmp_path / "stream"
+    code, _, _ = run(capsys, ["solve", "--out", str(out), *sets,
+                              "--set", f"model.name={model_name}",
+                              "--set", f"pde.x_min={box[0]}", "--set", f"pde.x_max={box[1]}",
+                              "--set", "pde.t_steps=200", "--set", "pde.x_steps=40"])
+    assert code == 0
+    model = build_model(model_name)
+    grid = SpaceTimeGrid(1.0, *box, 200, 40)
+    if surface_kind == "candidate":
+        surface = candidate_surface(model, grid)
+    else:
+        surface = solve_obstacle_hjb(
+            model, grid, scheme="implicit" if surface_kind == "implicit" else "explicit",
+            penalty_level=5.0 if surface_kind == "penalty" else None)
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    res = residual(surface, model)
+    write_surface_csv(surface, whole / "surface.csv")
+    write_grid_csv(whole / "residual.csv", ["residual field (NaN at edges and kink columns)"],
+                   grid, res)
+    write_law_csv(extract_feedback(surface, model), whole / "law.csv")
+    for name in ("surface.csv", "residual.csv", "law.csv"):
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+    assert np.isnan(res[:, list(surface.kink_columns)]).all()
+    assert len(surface.kink_columns) == (model_name == "example-viscosity")
 
 
 def test_verify_viscosity_pass_and_fail(tmp_path, capsys):

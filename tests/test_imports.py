@@ -1,8 +1,9 @@
-"""scipy and PyYAML load only where they are needed.
+"""scipy, PyYAML and multiprocessing load only where they are needed.
 
-scipy serves one purpose, LAPACK ``gbsv`` for the implicit scheme, and
-PyYAML one, reading ``--config`` files.  Each check runs in a fresh
-interpreter, since this test process has long imported both.
+scipy serves one purpose, LAPACK ``gbsv`` for the implicit scheme, PyYAML
+one, reading ``--config`` files, and multiprocessing one, forking the CSV
+writer of ``rfbsde solve``.  Each check runs in a fresh interpreter,
+since this test process has long imported all three.
 """
 
 import json
@@ -29,10 +30,13 @@ _LOADED = ("sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'})")
 
 
 def test_package_import_loads_neither_scipy_nor_yaml():
+    # nor multiprocessing or mmap: `rfbsde solve` imports them when it forks
+    # its CSV writer, so no other command pays for them at set-up
     out = _run(f"""
 import json, sys
 import rfbsde, rfbsde.cli, rfbsde.verify
-print(json.dumps({_LOADED}))
+print(json.dumps({_LOADED} + sorted({{m.split('.')[0] for m in sys.modules}}
+                                    & {{'multiprocessing', 'mmap'}})))
 """)
     assert out == []
 
