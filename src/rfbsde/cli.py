@@ -28,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RfbsdeError
-from .hjb import (SpaceTimeGrid, ValueSurface, _RowSteps, candidate_surface,
-                  grid_csv_row, solve_obstacle_hjb, surface_csv_comments,
-                  surface_rows, write_grid_lines)
+from .hjb import (SpaceTimeGrid, _RowSteps, _space_derivatives, candidate_surface,
+                  collect_surface, grid_csv_row, surface_csv_comments, surface_rows,
+                  write_grid_csv, write_grid_lines)
 from .model import ProbeGrid, build_model, validate_assumptions
 from .rbsde import SolverConfig, tree_oracle
 from .simulate import TimeGrid
-from .synthesis import FeedbackLaw, evaluate_feedback, extract_feedback, law_csv_comments
+from .synthesis import (FeedbackLaw, evaluate_feedback, extract_feedback,
+                        extracted_provenance, law_csv_comments)
 from .verify import (MembershipProbe, VerifyConfig,
                      build_control_battery, tables_from_surface,
                      verify_classical, verify_feedback_optimality,
@@ -187,7 +188,7 @@ def _children_cpu_s():
 
 
 class _CsvWriter:
-    """One forked child that writes a CSV file of each table the parent fills.
+    """One forked child that writes a CSV file of tables the parent fills.
 
     The tables live in one anonymous shared mapping, so the child reads the
     rows the parent stores.  :meth:`final_from` notes on a pipe that rows
@@ -212,9 +213,9 @@ class _CsvWriter:
         self.cpu_s = 0.0
 
     def start(self, files):
-        """Fork the child that writes ``files``, one (path, comment lines)
-        pair per table."""
-        self._paths = [path for path, _ in files]
+        """Fork the child that writes ``files``, (table, path, comment
+        lines) triples whose tables are among :attr:`tables`."""
+        self._paths = [path for _, path, _ in files]
         notes, self._notes = self._fork.Pipe(duplex=False)
         self._child = self._fork.Process(target=self._write, args=(notes, files))
         self._child.start()
@@ -230,10 +231,10 @@ class _CsvWriter:
                 k = notes.recv()
             except EOFError:     # the parent stopped short: write nothing
                 return
-            for out, table in zip(lines, self.tables):
+            for out, (table, _, _) in zip(lines, files):
                 out[k:final] = map(grid_csv_row, times[k:final], table[k:final])
             final = k
-        for j, ((path, comments), out) in enumerate(zip(files, lines)):
+        for j, ((_, path, comments), out) in enumerate(zip(files, lines)):
             self._writing[0] = j
             write_grid_lines(path, comments, self._grid, out)
 
@@ -343,28 +344,28 @@ def _pde_grid(cfg, model):
                          x_steps=_num(cfg, "pde.x_steps", int))
 
 
-def _surface_for(cfg, model, key):
-    """The model's closed-form surface if the config ``key`` is 'candidate'
-    (refused for a model without one), else the PDE solve."""
-    if _choice(cfg, key, ("computed", "candidate")) == "candidate":
-        return candidate_surface(model, _pde_grid(cfg, model))
-    p = cfg["pde"]
-    level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
-    return solve_obstacle_hjb(model, _pde_grid(cfg, model),
-                              scheme=p["scheme"], penalty_level=level)
+def _surface_rows(cfg, model, key):
+    """(grid, provenance, rows, exact_form) of the model's closed-form
+    surface if the config ``key`` is 'candidate' (refused for a model
+    without one), else of the PDE solve.
 
-
-def _surface_rows(cfg, model):
-    """(grid, provenance, rows) of the surface :func:`_surface_for` gives
-    for ``pde.surface``, its value rows streamed from the horizon down as
-    :func:`surface_rows` streams them."""
-    if _choice(cfg, "pde.surface", ("computed", "candidate")) == "candidate":
-        s = candidate_surface(model, _pde_grid(cfg, model))
-        return s.grid, s.provenance, ((i, s.values[i]) for i in range(len(s.values) - 1, -1, -1))
-    p = cfg["pde"]
-    level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
+    ``rows`` streams the value rows from the horizon down as
+    :func:`surface_rows` does; ``exact_form`` is the closed form, or None.
+    """
     grid = _pde_grid(cfg, model)
-    return (grid,) + surface_rows(model, grid, p["scheme"], level)
+    if _choice(cfg, key, ("computed", "candidate")) == "candidate":
+        s = candidate_surface(model, grid)
+        rows = ((i, s.values[i]) for i in range(grid.t_steps, -1, -1))
+        return grid, s.provenance, rows, s.exact_form
+    p = cfg["pde"]
+    level = None if p["penalty_level"] is None else _num(cfg, "pde.penalty_level")
+    return (grid,) + surface_rows(model, grid, p["scheme"], level) + (None,)
+
+
+def _surface_for(cfg, model, key):
+    """The surface of :func:`_surface_rows`, collected."""
+    grid, provenance, rows, exact_form = _surface_rows(cfg, model, key)
+    return collect_surface(model, grid, provenance, rows, exact_form)
 
 
 def cmd_solve(cfg):
@@ -375,42 +376,47 @@ def cmd_solve(cfg):
     residual row i + 1 (whose neighbours are now in) and the row's obstacle
     violation, keeping no full-grid Hamiltonian table, and notes rows i + 1
     and above final to one forked writer (:class:`_CsvWriter`), which
-    formats them on the other core while the scheme runs on.
-    ``timings_s`` sums the scheme's rows as ``solve``, the minima, residual
-    and violation rows as ``residual`` and the law rows as ``law``;
-    ``write_csv`` is the time the command spent starting, noting and
-    waiting for the writer, and ``writer_cpu_s`` the writer's own CPU time.
-    Every exit waits for the writer, which writes no file unless the
-    stream ran to row 0.
+    formats them on the other core while the scheme runs on.  A closed-form
+    surface has no scheme to run beside, so there the command formats the
+    surface itself once the stream ends, while the writer formats the
+    other two.  ``timings_s`` sums the surface's set-up and rows as
+    ``solve``, the minima, residual and violation rows as ``residual`` and
+    the law rows as ``law``; ``write_csv`` is the time the command spent
+    starting, noting and waiting for the writer and writing its own file,
+    and ``writer_cpu_s`` the writer's own CPU time.  Every exit waits for
+    the writer, which writes no file unless the stream ran to row 0.
     """
     run = _Run(cfg, "solve")
     model = _model_from(cfg)
-    grid, provenance, rows = _surface_rows(cfg, model)
     clock = time.perf_counter
     start = clock()
+    grid, provenance, rows, exact_form = _surface_rows(cfg, model, "pde.surface")
+    kinks = grid.columns_near(model.value_kinks)
+    mark = clock()
+    spent = {"solve": mark - start, "law": 0.0}
     writer = _CsvWriter(grid, 3)
     values, res, law_table = writer.tables
-    # a surface over the shared table, filled from the horizon down below;
-    # the read-only flag goes on its own view, not on ``values``
-    surface = ValueSurface(grid=grid, values=writer.tables[0], provenance=provenance,
-                           kink_columns=grid.columns_near(model.value_kinks),
-                           model_name=model.name)
-    law = extract_feedback(surface, model, (None, law_table))
     res[[0, -1]] = np.nan
-    writer.start([(run.path("surface.csv"), surface_csv_comments(surface)),
-                  (run.path("residual.csv"),
-                   ["residual field (NaN at edges and kink columns)"]),
-                  (run.path("law.csv"), law_csv_comments(law))])
+    files = [(values, run.path("surface.csv"),
+              surface_csv_comments(grid, provenance, model.name, kinks)),
+             (res, run.path("residual.csv"),
+              ["residual field (NaN at edges and kink columns)"]),
+             (law_table, run.path("law.csv"),
+              law_csv_comments(extracted_provenance(provenance, model.control_set)))]
+    own = [files.pop(0)] if exact_form is not None else []
+    writer.start(files)
+    spent["write_csv"] = clock() - mark
     try:
-        steps = _RowSteps(surface, model)
-        xs, times, last = grid.xs, grid.times, grid.t_steps
-        over = np.empty(last + 1)
         mark = clock()
-        spent = {"solve": 0.0, "residual": 0.0, "law": 0.0, "write_csv": mark - start}
+        steps = _RowSteps(model, grid, values, kinks)
+        xs, times, dx, last = grid.xs, grid.times, grid.dx, grid.t_steps
+        over = np.empty(last + 1)
+        spent["residual"] = clock() - mark
+        mark = clock()
         for i, w in rows:
             t_row = clock()
             values[i] = w
-            hmin, law_row = steps.minima(i, *steps.derivatives(w))
+            hmin, law_row = steps.minima(i, *_space_derivatives(w, dx, kinks))
             # the obstacle takes a scalar time, as in the solvers
             over[i] = np.maximum(w - np.asarray(model.obstacle(times[i], xs), dtype=float),
                                  0.0).max()
@@ -428,6 +434,8 @@ def cmd_solve(cfg):
             mark = clock()
             spent["write_csv"] += mark - t_note
         writer.final_from(0)
+        for table, path, comments in own:
+            write_grid_csv(path, comments, grid, table)
         writer.join()
         spent["write_csv"] += clock() - mark
     except BaseException:
@@ -439,15 +447,15 @@ def cmd_solve(cfg):
     finite = res[np.isfinite(res)]
     violation = float(over.max())
     run.extra["residual_max"] = float(finite.max()) if finite.size else 0.0
-    run.extra["kink_columns"] = list(surface.kink_columns)
+    run.extra["kink_columns"] = list(kinks)
     run.extra["obstacle_violation_max"] = violation
     run.extra["writer_cpu_s"] = round(writer.cpu_s, 3)
     run.finish()
-    print(f"surface: {surface.provenance}")
+    print(f"surface: {provenance}")
     print(f"residual max (interior): {run.extra['residual_max']:.6g}")
     print(f"obstacle violation max: {violation:.6g}")
-    if surface.kink_columns:
-        print(f"kink columns: {list(surface.kink_columns)}")
+    if kinks:
+        print(f"kink columns: {list(kinks)}")
     return 0
 
 

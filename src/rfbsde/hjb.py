@@ -160,15 +160,8 @@ class ValueSurface:
 def _space_derivatives(w, dx, kink_columns):
     """(w_x, w_xx) of the value rows ``w`` (state along the last axis),
     with the kink-column rule of :meth:`ValueSurface.expansion_tables`."""
-    wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
-    _kink_rule(w, wx, wxx, dx, kink_columns)
-    return wx, wxx
-
-
-def _kink_rule(w, wx, wxx, dx, kink_columns):
-    """At each kink column, the midpoint of the one-sided slopes of ``w``
-    into ``wx`` and zero into ``wxx``."""
     n = w.shape[-1]
+    wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
     for j in kink_columns:
         # one-sided slopes; an edge column has only the one inside
         left = (w[..., j] - w[..., j - 1]) / dx if j > 0 \
@@ -176,6 +169,7 @@ def _kink_rule(w, wx, wxx, dx, kink_columns):
         right = (w[..., j + 1] - w[..., j]) / dx if j < n - 1 else left
         wx[..., j] = 0.5 * (left + right)
         wxx[..., j] = 0.0
+    return wx, wxx
 
 
 def _first_difference(a, h, axis=-1):
@@ -290,13 +284,18 @@ def solve_obstacle_hjb(model, grid, scheme="explicit", penalty_level=None):
     Bad arguments are refused before any model call.  The values are the
     rows of :func:`surface_rows`, collected.
     """
-    provenance, rows = surface_rows(model, grid, scheme, penalty_level)
+    return collect_surface(model, grid, *surface_rows(model, grid, scheme, penalty_level))
+
+
+def collect_surface(model, grid, provenance, rows, exact_form=None):
+    """The :class:`ValueSurface` of the value rows ``rows``, ``(i, w)``
+    pairs as :func:`surface_rows` yields them."""
     values = np.empty((grid.t_steps + 1, grid.x_steps + 1))
     for i, w in rows:
         values[i] = w
     return ValueSurface(grid=grid, values=values, provenance=provenance,
                         kink_columns=grid.columns_near(model.value_kinks),
-                        model_name=model.name)
+                        exact_form=exact_form, model_name=model.name)
 
 
 def surface_rows(model, grid, scheme="explicit", penalty_level=None):
@@ -475,50 +474,27 @@ def _implicit_rows(model, grid, penalty_level):
 
 class _RowSteps:
     """The per-row steps of :func:`hamiltonian_minima` and :func:`residual`
-    on one surface and model, with the grids and buffers built once.
+    on the value table ``values`` of one grid and model, with the grids and
+    buffers built once.
 
     ``minima(i, ...)`` reads value row ``i`` and ``residual(i, ...)`` rows
-    ``i - 1`` to ``i + 1``, so a caller filling ``surface.values`` from the
-    horizon down can take each step as soon as its rows are in.
+    ``i - 1`` to ``i + 1``, so a caller filling ``values`` from the horizon
+    down can take each step as soon as its rows are in.
     """
 
-    def __init__(self, surface, model):
-        grid = surface.grid
-        self.surface, self.model = surface, model
-        self.times, self.xs, self.dt, self.dx = grid.times, grid.xs, grid.dt, grid.dx
+    def __init__(self, model, grid, values, kink_columns):
+        self.model, self.values = model, values
+        self.times, self.xs, self.dt = grid.times, grid.xs, grid.dt
         self.u_grid = model.control_set.points()
         self.tables = _state_control_tables(model, self.xs)
         self.h = np.empty(self.tables[0].shape)
-        self.wx, self.wxx = np.empty((2, grid.x_steps + 1))
-        self.kinks = list(surface.kink_columns)
-
-    def derivatives(self, w):
-        """(w_x, w_xx) of the one value row ``w`` into the step's buffers:
-        the arithmetic of :func:`_space_derivatives`, with the end stencils
-        in Python floats, which on a single row costs a fraction as much."""
-        dx, wx, wxx = self.dx, self.wx, self.wxx
-        inner_x, inner_xx = wx[1:-1], wxx[1:-1]
-        np.subtract(w[2:], w[:-2], out=inner_x)
-        inner_x /= 2 * dx
-        np.multiply(2, w[1:-1], out=inner_xx)
-        np.subtract(w[2:], inner_xx, out=inner_xx)
-        inner_xx += w[:-2]
-        inner_xx /= dx ** 2
-        a0, a1, a2, a3 = w[:4].tolist()
-        b0, b1, b2, b3 = w[:-5:-1].tolist()
-        wx[0] = (-3 * a0 + 4 * a1 - a2) / (2 * dx)
-        wx[-1] = (3 * b0 - 4 * b1 + b2) / (2 * dx)
-        wxx[0] = (2 * a0 - 5 * a1 + 4 * a2 - a3) / dx ** 2
-        wxx[-1] = (2 * b0 - 5 * b1 + 4 * b2 - b3) / dx ** 2
-        _kink_rule(w, wx, wxx, dx, self.kinks)
-        return wx, wxx
+        self.kinks = list(kink_columns)
 
     def minima(self, i, wx, wxx):
         """(H_min, u_min) of value row ``i`` at its gradient and curvature
-        rows ``wx``, ``wxx`` (:meth:`derivatives` of the row, or rows of
-        :func:`_space_derivatives`)."""
+        rows ``wx``, ``wxx`` (:func:`_space_derivatives` of the row)."""
         h = _hamiltonian_grid(self.model, self.times[i], self.tables,
-                              self.surface.values[i], wx, wxx, self.h)
+                              self.values[i], wx, wxx, self.h)
         vmin = h.min(axis=0)
         tol = 1e-12 * (1.0 + np.abs(vmin))
         return vmin, self.u_grid[np.argmax(h <= vmin + tol, axis=0)]
@@ -526,7 +502,7 @@ class _RowSteps:
     def residual(self, i, hmin, out):
         """Residual row ``i`` (an interior one) into ``out`` from the H_min
         row ``hmin``; NaN at the edge and kink columns."""
-        v = self.surface.values
+        v = self.values
         wt = (v[i + 1, 1:-1] - v[i - 1, 1:-1]) / (2 * self.dt)
         barrier = np.asarray(self.model.obstacle(self.times[i], self.xs[1:-1]), dtype=float)
         out[1:-1] = np.maximum(v[i, 1:-1] - barrier, -wt - hmin[1:-1])
@@ -546,7 +522,7 @@ def hamiltonian_minima(surface, model):
     ``extract_feedback`` u_min, so a caller needing both passes this pair to
     each instead of evaluating the grid twice.
     """
-    steps = _RowSteps(surface, model)
+    steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
     wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
     hmin = np.empty_like(surface.values)
     umin = np.empty_like(surface.values)
@@ -564,7 +540,7 @@ def residual(surface, model, minima=None):
     already holds it.
     """
     hmin = (hamiltonian_minima(surface, model) if minima is None else minima)[0]
-    steps = _RowSteps(surface, model)
+    steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
     out = np.full_like(surface.values, np.nan)
     for i in range(1, surface.grid.t_steps):
         steps.residual(i, hmin[i], out[i])
@@ -610,17 +586,18 @@ def write_grid_csv(path, comments, grid, rows):
     write_grid_lines(path, comments, grid, map(grid_csv_row, grid.times.tolist(), rows))
 
 
-def surface_csv_comments(surface):
+def surface_csv_comments(grid, provenance, model_name, kink_columns):
     """Header lines of the surface CSV: provenance, model, grid and kink
     columns."""
-    grid = surface.grid
-    return [f"provenance: {surface.provenance}",
-            f"model: {surface.model_name}",
+    return [f"provenance: {provenance}",
+            f"model: {model_name}",
             f"horizon={grid.horizon!r} x_min={grid.x_min!r} x_max={grid.x_max!r} "
             f"t_steps={grid.t_steps} x_steps={grid.x_steps}",
-            f"kink_columns: {list(surface.kink_columns)}"]
+            f"kink_columns: {list(kink_columns)}"]
 
 
 def write_surface_csv(surface, path):
     """Surface matrix with provenance, grid and kink columns in the header."""
-    write_grid_csv(path, surface_csv_comments(surface), surface.grid, surface.values)
+    write_grid_csv(path, surface_csv_comments(surface.grid, surface.provenance,
+                                              surface.model_name, surface.kink_columns),
+                   surface.grid, surface.values)

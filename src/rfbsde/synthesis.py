@@ -61,8 +61,14 @@ def extract_feedback(surface, model, minima=None):
     """
     _, table = hamiltonian_minima(surface, model) if minima is None else minima
     return FeedbackLaw(table=table, grid=surface.grid, control_set=model.control_set,
-                       provenance=f"extracted from {surface.provenance} "
-                                  f"({len(model.control_set.points())} grid controls)")
+                       provenance=extracted_provenance(surface.provenance, model.control_set))
+
+
+def extracted_provenance(surface_provenance, control_set):
+    """Provenance of the law :func:`extract_feedback` takes from a surface
+    of provenance ``surface_provenance``."""
+    return (f"extracted from {surface_provenance} "
+            f"({len(control_set.points())} grid controls)")
 
 
 @dataclass(frozen=True)
@@ -127,13 +133,13 @@ def simulate_law(model, law, start_time, start_state, grid, n_paths, seed):
                           n_paths, seed)
 
 
-def law_csv_comments(law):
-    """Header lines of the law CSV: provenance and the nearest-node lookup
-    rule."""
-    return [f"provenance: {law.provenance}", "rule: nearest tie_break: smallest"]
+def law_csv_comments(provenance):
+    """Header lines of the CSV of a law of provenance ``provenance``: that
+    and the nearest-node lookup rule."""
+    return [f"provenance: {provenance}", "rule: nearest tie_break: smallest"]
 
 
 def write_law_csv(law, path):
     """Control table dump of an extracted law, with the nearest-node lookup
     rule recorded in the header."""
-    write_grid_csv(path, law_csv_comments(law), law.grid, law.table)
+    write_grid_csv(path, law_csv_comments(law.provenance), law.grid, law.table)

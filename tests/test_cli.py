@@ -109,15 +109,20 @@ def test_writer_failing_before_any_file_names_every_file(tmp_path, capsys, monke
 
 def test_solve_error_joins_started_writer(tmp_path, capsys, monkeypatch):
     # a row helper that raises partway through the stream: the writer had
-    # started and formatted the rows it was given, but writes no file
+    # started and formatted the rows it was given, but writes no file; the
+    # command, which writes a closed-form surface's CSV itself, writes it
+    # only once the stream has ended
     def failing(self, i, hmin, out):
         if i < 100:
             raise BackwardSolverError("no residual")
     monkeypatch.setattr(cli._RowSteps, "residual", failing)
-    code, _, err = run(capsys, ["solve", "--out", str(tmp_path), *FAST_PDE])
-    assert code == 3
-    assert err.startswith("ERROR[numerical]: no residual")
-    _assert_nothing_written(tmp_path)
+    for surface in ("computed", "candidate"):
+        out = tmp_path / surface
+        code, _, err = run(capsys, ["solve", "--out", str(out), *FAST_PDE,
+                                    "--set", f"pde.surface={surface}"])
+        assert code == 3
+        assert err.startswith("ERROR[numerical]: no residual")
+        _assert_nothing_written(out)
 
 
 def _drift_nonfinite_before(half):
