@@ -18,7 +18,10 @@ cost's per-path contributions are folded in the order the stream yields its
 nodes, so no slope or driver-credit table is kept for them.
 Conditional expectations use least-squares polynomial regression on the
 state (state binning as fallback); the node-0 estimate degenerates to the
-plain cross-path mean because all paths share the initial state.
+plain cross-path mean because all paths share the initial state.  The loop
+sets up the next node's regression, which reads only the states, on the
+helper thread of :func:`~rfbsde.simulate._ahead` while the current node
+runs; model callables stay on the calling thread.
 """
 
 import math
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackwardSolverError, ConfigError
-from .simulate import law_controls, simulate_paths
+from .simulate import _ahead, law_controls, simulate_paths
 
 _DEGENERATE_STD = 1e-12
 _PIVOT_RATIO = 1e-10
@@ -92,28 +95,40 @@ class _ConditionalExpectation:
     pivots (squared diagonal of the factor) of a rank-deficient design are
     rounding noise, about 1e-14 of the largest, so a pivot ratio at or below
     ``_PIVOT_RATIO``, or a failed factorisation, sends the node to bins.
+
+    The design is built into ``design``, a column-major ``(paths,
+    columns(config))`` buffer, fresh when None.  Set-up reads only the
+    states and allocates no array of path length, so the backward pass runs
+    it on the helper thread of :func:`~rfbsde.simulate._ahead`; the bins
+    are sorted on the first call instead, on the caller's thread.
     """
 
-    def __init__(self, states, config):
+    def __init__(self, states, config, design=None):
         self.config = config
         self.states = states
         self.fallback = False
+        self._bin_of = None
+        if design is None:
+            design = np.empty((len(states), self.columns(config)), order="F")
+        # the spread as states.std() takes it, worked out in the design's columns
         mu = float(states.mean())
-        sd = float(states.std())
+        t = design[:, min(1, design.shape[1] - 1)]
+        np.subtract(states, mu, out=t)
+        squares = np.multiply(t, t, out=design[:, 0])
+        sd = math.sqrt(float(squares.sum()) / len(states))
         if sd <= _DEGENERATE_STD * (1.0 + abs(mu)):
             self.mode = "mean"
             return
+        self.mode = "bins"
         if config.estimator == "poly":
             # column k is column k-1 times t, built in place
-            design = np.empty((len(states), config.degree + 1), order="F")
             design[:, 0] = 1.0
-            t = design[:, 1]
-            np.subtract(states, mu, out=t)
             t /= sd
             for k in range(2, config.degree + 1):
                 np.multiply(design[:, k - 1], t, out=design[:, k])
             try:
-                chol = np.linalg.cholesky(design.T @ design)
+                # np.dot releases the GIL, a matmul of the transpose does not
+                chol = np.linalg.cholesky(np.dot(design.T, design))
                 pivots = np.diag(chol) ** 2
                 full_rank = pivots.min() > _PIVOT_RATIO * max(pivots.max(), 1.0)
             except np.linalg.LinAlgError:
@@ -123,12 +138,12 @@ class _ConditionalExpectation:
                 self._design = design
                 self._chol_inv = np.linalg.inv(chol)
             else:
-                self.mode = "bins"
                 self.fallback = True
-                self._make_bins()
-        else:
-            self.mode = "bins"
-            self._make_bins()
+
+    @staticmethod
+    def columns(config):
+        """Columns of a design buffer: the basis, or one scratch column for bins."""
+        return config.degree + 1 if config.estimator == "poly" else 1
 
     def _make_bins(self):
         order = np.argsort(self.states, kind="stable")
@@ -146,6 +161,8 @@ class _ConditionalExpectation:
             # least-squares fit evaluated at the data: design @ (G^-1 design^T target)
             w = self._chol_inv
             return self._design @ (w.T @ (w @ (self._design.T @ target)))
+        if self._bin_of is None:
+            self._make_bins()
         sums = np.bincount(self._bin_of, weights=target, minlength=len(self._counts))
         means = sums / np.maximum(self._counts, 1)
         return means[self._bin_of]
@@ -216,11 +233,16 @@ def _backward_pass(model, ensemble, config, penalty_level, diagnostics):
     violation = 0.0
     slack = np.zeros(n_paths)
     fallback_nodes = []
+    designs = np.empty((n_paths, _ConditionalExpectation.columns(config), 2), order="F")
+
+    def estimators():
+        for i in range(steps - 1, -1, -1):
+            yield i, _ConditionalExpectation(states[:, i], config, designs[:, :, i % 2])
+
     yield steps, y, np.zeros(n_paths), None
 
-    for i in range(steps - 1, -1, -1):
+    for i, est in _ahead(estimators()):
         x = states[:, i]
-        est = _ConditionalExpectation(x, config)
         if est.fallback:
             fallback_nodes.append(i)
         cont = est(y)

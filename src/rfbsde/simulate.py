@@ -9,9 +9,15 @@ Philox keyed by the seed, scaled by sqrt(dt).  Storage is column-major
 (``order="F"``): every per-node column ``states[:, i]`` is contiguous, which is
 how both the forward and the backward pass read them.  Ensembles are
 immutable once built and shared freely by the backward solvers.
+
+A Monte Carlo pass runs one helper thread (:func:`_ahead`): it draws the next
+block of increments here, and builds the next node's regression in the
+backward pass, while the caller's thread works on the current one.  Model
+callables are only ever called from the caller's thread.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -105,18 +111,65 @@ def law_controls(model, law, t, x):
         np.broadcast_to(np.asarray(law(t, x), dtype=float), np.shape(x)))
 
 
+def _ahead(items):
+    """Yield ``items`` in order while one helper thread computes the next.
+
+    The helper takes item k+1 from ``items`` as soon as item k is handed
+    out, and no further, so a producer may reuse the buffer of item k for
+    item k+2.  A producer's exception is raised where its item would have
+    been yielded.  However the caller leaves (exhausted, broken off, or
+    raising), the helper is stopped and joined before the generator closes.
+    """
+    from queue import SimpleQueue       # here: set-up imports only threading
+    items = iter(items)
+    wanted, done = SimpleQueue(), SimpleQueue()
+
+    def produce():
+        while wanted.get():
+            try:
+                done.put((next(items), None))
+            except BaseException as exc:       # StopIteration included
+                done.put((None, exc))
+
+    helper = threading.Thread(target=produce, name="rfbsde-ahead")
+    helper.start()
+    try:
+        wanted.put(True)
+        while True:
+            item, exc = done.get()
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            wanted.put(True)
+            yield item
+    finally:
+        exc = None          # a raised error's traceback holds this frame
+        wanted.put(False)
+        helper.join()
+
+
 def _increments(seed, n_paths, steps, dt):
     """Column-major Brownian increments of the documented stream.
 
     Rows are drawn ``_DRAW_ROWS`` at a time from one generator, which yields
-    the one-shot ``standard_normal((paths, steps))`` draw value for value,
-    and each block is scaled straight into the column-major array.
+    the one-shot ``standard_normal((paths, steps))`` draw value for value.
+    The helper of :func:`_ahead` draws the next block into one of two block
+    buffers while this thread scales the current one straight into the
+    column-major array.
     """
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     scale = math.sqrt(dt)
     out = np.empty((n_paths, steps), order="F")
-    for start in range(0, n_paths, _DRAW_ROWS):
-        block = gen.standard_normal((min(_DRAW_ROWS, n_paths - start), steps))
+    buffers = np.empty((2, min(_DRAW_ROWS, n_paths), steps))
+
+    def blocks():
+        for k, start in enumerate(range(0, n_paths, _DRAW_ROWS)):
+            block = buffers[k % 2, :min(_DRAW_ROWS, n_paths - start)]
+            gen.standard_normal(out=block)
+            yield start, block
+
+    for start, block in _ahead(blocks()):
         np.multiply(block, scale, out=out[start:start + len(block)])
     return out
 

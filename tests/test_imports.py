@@ -31,12 +31,13 @@ _LOADED = ("sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'})")
 
 def test_package_import_loads_neither_scipy_nor_yaml():
     # nor multiprocessing or mmap: `rfbsde solve` imports them when it forks
-    # its CSV writer, so no other command pays for them at set-up
+    # its CSV writer, so no other command pays for them at set-up; nor
+    # concurrent: the Monte Carlo helper thread needs only threading
     out = _run(f"""
 import json, sys
 import rfbsde, rfbsde.cli, rfbsde.verify
 print(json.dumps({_LOADED} + sorted({{m.split('.')[0] for m in sys.modules}}
-                                    & {{'multiprocessing', 'mmap'}})))
+                                    & {{'multiprocessing', 'mmap', 'concurrent'}})))
 """)
     assert out == []
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -266,8 +267,23 @@ def test_picard_divergence_raises():
         model = stiff_model(rate)
         ens = simulate_paths(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
                              TimeGrid(0.0, 1.0, steps), 10, seed=0)
+        baseline = threading.active_count()
         with pytest.raises(BackwardSolverError, match=f"step .*contraction {rate / steps:g},"):
             solve_reflected(model, ens)
+        # the pass stopped its helper thread on the way out
+        assert threading.active_count() == baseline
+
+
+def test_abandoned_stream_leaves_no_helper_thread(classical_ensemble):
+    model, ens = classical_ensemble
+    baseline = threading.active_count()
+    for i, y, z, push in rbsde._backward_pass(model, ens, SolverConfig(), None, {}):
+        if i < ens.grid.steps - 2:
+            break
+    assert threading.active_count() == baseline
+    cost_functional(model, 0.0, 1.0, OpenLoopControl.constant(0.0),
+                    TimeGrid(0.0, 1.0, 10), 3000, seed=2)
+    assert threading.active_count() == baseline
 
 
 def _tree_band(exact, depth):
@@ -358,6 +374,46 @@ def test_conditional_expectation_few_levels_fall_back(levels, degree):
     assert est.fallback and est.mode == "bins"
 
 
+def _reference_poly_fit(x, degree, target):
+    """The poly fit from states.std(), a fresh design and the Gram of a
+    matmul with the transpose: what the buffered build must match."""
+    mu, sd = float(x.mean()), float(x.std())
+    design = np.empty((len(x), degree + 1), order="F")
+    design[:, 0] = 1.0
+    np.subtract(x, mu, out=design[:, 1])
+    design[:, 1] /= sd
+    for k in range(2, degree + 1):
+        np.multiply(design[:, k - 1], design[:, 1], out=design[:, k])
+    w = np.linalg.inv(np.linalg.cholesky(design.T @ design))
+    return design @ (w.T @ (w @ (design.T @ target)))
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_estimator_built_into_buffer_fits_alike(degree):
+    # bit for bit: a caller's used buffer, a fresh build and the reference fit
+    rng = np.random.default_rng(degree)
+    n = 3001
+    target = rng.normal(size=n)
+    lognormal = np.exp(rng.normal(size=n))
+    two_level = np.where(rng.normal(size=n) > 0.3, 2.5, -1.0)
+    constant = np.full(n, 0.7)
+    config = SolverConfig(degree=degree)
+    columns = _ConditionalExpectation.columns(config)
+    # a line fits two levels; higher degrees fall back to bins
+    two_level_mode = "poly" if degree == 1 else "bins"
+    for x, mode in ((lognormal, "poly"), (two_level, two_level_mode), (constant, "mean")):
+        designs = np.full((n, columns, 2), np.nan, order="F")
+        built = _ConditionalExpectation(x, config, designs[:, :, 1])
+        fresh = _ConditionalExpectation(x, config)
+        assert built.mode == fresh.mode == mode
+        assert built.fallback == fresh.fallback == (mode == "bins")
+        assert np.array_equal(built(target), fresh(target))
+    # the last case, the constant column, fits the plain mean
+    assert np.array_equal(built(target), np.full(n, target.mean()))
+    poly = _ConditionalExpectation(lognormal, config, designs[:, :, 0])
+    assert np.array_equal(poly(target), _reference_poly_fit(lognormal, degree, target))
+
+
 def test_conditional_expectation_degenerate_mean():
     x = np.full(100, 3.0)
     est = _ConditionalExpectation(x, SolverConfig())
@@ -383,7 +439,8 @@ def test_estimator_fallback_flagged_in_diagnostics():
     patched[:, 1:] = states
     object.__setattr__(ens, "states", patched)
     sol = solve_reflected(two_point, ens)
-    assert len(sol.diagnostics["estimator_fallback_nodes"]) > 0
+    # node 0 holds the shared initial state, the mean mode, not a fallback
+    assert sol.diagnostics["estimator_fallback_nodes"] == (1, 2, 3)
 
 
 def test_c_order_states_solve_alike(classical_ensemble):

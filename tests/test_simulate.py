@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rfbsde import (OpenLoopControl, SimulationError, TimeGrid,
                     simulate_closed_loop, simulate_paths)
 from rfbsde.model import ControlSet, ControlModel, example_classical, example_viscosity
-from rfbsde.simulate import _DRAW_ROWS
+from rfbsde.simulate import _DRAW_ROWS, _ahead
 
 
 def _flat_model():
@@ -117,6 +118,37 @@ def test_increments_are_the_documented_draw(classical_model):
     assert np.array_equal(ens.increments, want)
 
 
+def test_ahead_yields_items_in_order():
+    assert list(_ahead(iter(range(50)))) == list(range(50))
+    assert list(_ahead([])) == []
+
+
+def test_ahead_raises_producer_error_in_place():
+    def items():
+        yield from range(3)
+        raise KeyError("third")
+
+    seen = []
+    with pytest.raises(KeyError, match="third"):
+        for item in _ahead(items()):
+            seen.append(item)
+    assert seen == [0, 1, 2]
+
+
+def test_ahead_helper_ends_with_its_caller():
+    # checked while the traceback is held, so no garbage collection helps
+    baseline = threading.active_count()
+    for item in _ahead(range(10)):
+        assert threading.active_count() == baseline + 1
+        break
+    assert threading.active_count() == baseline
+    with pytest.raises(ValueError) as info:
+        for item in _ahead(range(10)):
+            raise ValueError(item)
+    assert threading.active_count() == baseline
+    assert info.value.args == (0,)
+
+
 def test_ensemble_columns_contiguous(classical_model):
     grid = TimeGrid(0.0, 1.0, 6)
     for ens in (simulate_paths(classical_model, 0.0, 1.0,
@@ -169,9 +201,11 @@ def test_nonfinite_state_aborts():
         driver=lambda r, x, y, z, u: 0.0 * y, terminal=lambda x: x,
         obstacle=lambda r, x: np.full_like(np.asarray(x, dtype=float), 1e30),
         control_set=ControlSet.interval(0.0, 1.0, 2), horizon=1.0)
+    baseline = threading.active_count()
     with pytest.raises(SimulationError):
         simulate_paths(blower, 0.0, 10.0, OpenLoopControl.constant(0.0),
                        TimeGrid(0.0, 1.0, 200), 4, seed=0)
+    assert threading.active_count() == baseline
 
 
 @settings(max_examples=12, deadline=None)
