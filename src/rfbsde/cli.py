@@ -53,10 +53,9 @@ DEFAULTS = {
                    "membership": 0.02, "nonmember": 0.05, "bias_budget": 0.05},
     "cost": {"method": "reflected", "control": 0.0, "tree_depth": 16},
     "verify": {"mode": "classical", "surface": "candidate", "constant_law": None,
-               "tables": "surface", "battery_random": 20, "battery_switches": 8,
+               "battery_random": 20, "battery_switches": 8,
                "membership_times": 16, "membership_paths": 64,
-               "node_samples": 64,
-               "triple": {"time_slope": 0.0, "gradient": 1.0, "curvature": 0.0}},
+               "node_samples": 64},
     "assumptions": {"t_min": 0.0, "t_max": 1.0, "x_min": -5.0, "x_max": 5.0,
                     "points": 9},
     "output": {"directory": "out"},
@@ -512,11 +511,8 @@ def cmd_verify(cfg):
     vcfg = _verify_config(cfg)
     # refused before the surface solve, which can be the costly part
     mode = _choice(cfg, "verify.mode", ("classical", "viscosity", "feedback"))
-    tables_from = _choice(cfg, "verify.tables", ("surface", "triple"))
     start_time = _num(cfg, "mc.start_time")
     start_state = _num(cfg, "mc.start_state")
-    triple = tuple(_num(cfg, f"verify.triple.{k}")
-                   for k in ("time_slope", "gradient", "curvature"))
     battery_sizes = (_num(cfg, "verify.battery_random", int),
                      _num(cfg, "verify.battery_switches", int))
     # the control under test in every mode: the constant law, else the extracted one
@@ -528,11 +524,11 @@ def cmd_verify(cfg):
         if law is None:
             law = extract_feedback(surface, model)
 
+    # the closed-loop modes check the expansion triple of the surface they certify
     with run.stage("route"):
         if mode == "feedback":
-            candidate = tables_from_surface(surface) if tables_from == "surface" \
-                else lambda s, x: triple
-            report = verify_feedback_optimality(model, surface, law, candidate,
+            report = verify_feedback_optimality(model, surface, law,
+                                                tables_from_surface(surface),
                                                 start_time, start_state, vcfg)
         else:
             battery = build_control_battery(model, start_time, vcfg.seed,
@@ -543,7 +539,7 @@ def cmd_verify(cfg):
             else:
                 report = verify_viscosity_conditions(
                     model, surface, start_time, start_state, law,
-                    lambda s, x: triple, vcfg, battery=battery)
+                    tables_from_surface(surface), vcfg, battery=battery)
 
     _write_report(run, report)
     run.extra["status"] = report.status
@@ -585,9 +581,7 @@ _PAPER_PRESETS = {
         "model": {"name": "example-viscosity"},
         "pde": {"t_steps": 2000, "x_steps": 200, "x_min": -5.0, "x_max": 5.0},
         "mc": {"paths": 5000, "steps": 100, "start_state": 0.0},
-        "verify": {"mode": "viscosity", "constant_law": 1.0, "battery_random": 3,
-                   "triple": {"time_slope": 0.0, "gradient": 1.0,
-                              "curvature": 0.0}},
+        "verify": {"mode": "viscosity", "constant_law": 1.0, "battery_random": 3},
         "cost": {"control": 1.0},
     },
 }

@@ -519,8 +519,7 @@ def hamiltonian_minima(surface, model):
     :meth:`ValueSurface.expansion_tables`.  Ties within
     1e-12 * (1 + |minimum|) resolve to the smallest control on the grid, as
     in :func:`inf_hamiltonian`.  :func:`residual` reads H_min and
-    ``extract_feedback`` u_min, so a caller needing both passes this pair to
-    each instead of evaluating the grid twice.
+    ``extract_feedback`` u_min.
     """
     steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
     wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
@@ -531,15 +530,13 @@ def hamiltonian_minima(surface, model):
     return hmin, umin
 
 
-def residual(surface, model, minima=None):
+def residual(surface, model):
     """max{W - h, -W_t - inf_u H} at interior nodes; NaN elsewhere.
 
     For a valid solution the field is nonpositive up to discretization error,
-    with the PDE branch vanishing wherever the barrier is slack.  ``minima``
-    is :func:`hamiltonian_minima` of this surface and model, when the caller
-    already holds it.
+    with the PDE branch vanishing wherever the barrier is slack.
     """
-    hmin = (hamiltonian_minima(surface, model) if minima is None else minima)[0]
+    hmin = hamiltonian_minima(surface, model)[0]
     steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
     out = np.full_like(surface.values, np.nan)
     for i in range(1, surface.grid.t_steps):
@@ -594,10 +591,3 @@ def surface_csv_comments(grid, provenance, model_name, kink_columns):
             f"horizon={grid.horizon!r} x_min={grid.x_min!r} x_max={grid.x_max!r} "
             f"t_steps={grid.t_steps} x_steps={grid.x_steps}",
             f"kink_columns: {list(kink_columns)}"]
-
-
-def write_surface_csv(surface, path):
-    """Surface matrix with provenance, grid and kink columns in the header."""
-    write_grid_csv(path, surface_csv_comments(surface.grid, surface.provenance,
-                                              surface.model_name, surface.kink_columns),
-                   surface.grid, surface.values)

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-ASSUMPTION_NAMES = ("H1", "H2", "H3", "A1", "A2", "A3", "A4")
-
 # Declared-only flags: bounded/Lipschitz-in-time coefficients (A1), semiconcave
 # data with differentiable state coefficients (A2), noise-free semiconcave
 # driver/obstacle (A3), constant obstacle (A4).  They gate which regularity
@@ -112,7 +110,7 @@ class ControlModel:
 
 @dataclass(frozen=True)
 class AssumptionEntry:
-    name: str          # one of ASSUMPTION_NAMES
+    name: str          # H1-H3 or A1-A4
     check: str         # which concrete condition was probed
     status: str        # "pass" | "fail" | "unchecked"
     constant: float    # measured difference-quotient bound (nan if unchecked)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import hamiltonian_minima, write_grid_csv
+from .hjb import hamiltonian_minima
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import OpenLoopControl, simulate_closed_loop, simulate_paths
 
@@ -51,15 +51,13 @@ class FeedbackLaw:
         return out if out.shape else float(out)
 
 
-def extract_feedback(surface, model, minima=None):
+def extract_feedback(surface, model):
     """Canonical Hamiltonian minimizer at every surface node.
 
     Ties within 1e-12 * (1 + |min|) resolve to the smallest control on the
-    grid, so the table is deterministic.  ``minima`` is
-    :func:`hamiltonian_minima` of this surface and model, when the caller
-    already holds it.
+    grid, so the table is deterministic.
     """
-    _, table = hamiltonian_minima(surface, model) if minima is None else minima
+    _, table = hamiltonian_minima(surface, model)
     return FeedbackLaw(table=table, grid=surface.grid, control_set=model.control_set,
                        provenance=extracted_provenance(surface.provenance, model.control_set))
 
@@ -137,9 +135,3 @@ def law_csv_comments(provenance):
     """Header lines of the CSV of a law of provenance ``provenance``: that
     and the nearest-node lookup rule."""
     return [f"provenance: {provenance}", "rule: nearest tie_break: smallest"]
-
-
-def write_law_csv(law, path):
-    """Control table dump of an extracted law, with the nearest-node lookup
-    rule recorded in the header."""
-    write_grid_csv(path, law_csv_comments(law.provenance), law.grid, law.table)

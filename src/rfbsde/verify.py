@@ -5,14 +5,19 @@ Three entry points mirror the three certification routes:
 * :func:`verify_classical` -- smooth value surface: the surface value lower
   bounds every sampled cost, the candidate law achieves it, and the law is
   Lipschitz in state.
-* :func:`verify_viscosity_conditions` -- non-smooth surface: membership of a
-  supplied expansion triple in the right-time parabolic superdifferential
-  along the paths of a feedback law, the martingale-slope identity, and the
+* :func:`verify_viscosity_conditions` -- non-smooth surface: membership of
+  an expansion triple in the right-time parabolic superdifferential along
+  the paths of a feedback law, the martingale-slope identity, and the
   integral optimality inequality.
-* :func:`verify_feedback_optimality` -- feedback law plus expansion tables:
+* :func:`verify_feedback_optimality` -- feedback law plus expansion triple:
   the pointwise lower inequality at validated nodes, then the same
   closed-loop conditions, which read the reflected backward pass as a
   stream of nodes, storing no solution table.
+
+The closed-loop routes take the triple as a function of (s, state);
+``rfbsde verify`` passes :func:`tables_from_surface` of the surface it
+certifies, which the report fingerprint covers.  Other triples are not
+fingerprinted.
 
 Every route takes the control under test as one ``FeedbackLaw``; a constant
 control is the constant law.
@@ -470,7 +475,8 @@ def verify_viscosity_conditions(model, surface, start_time, start_state,
     """Certification of one feedback law against a viscosity surface.
 
     ``candidate_triple`` maps (s, state) to the expansion triple claimed to
-    belong to the right-time superdifferential along the path of ``law``.
+    belong to the right-time superdifferential along the path of ``law``;
+    :func:`tables_from_surface` reads it from ``surface`` itself.
     Also re-checks that the surface value lower-bounds a battery of sampled
     costs, the numerical stand-in for the surface being the value function.
     """

@@ -247,7 +247,6 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
     feedback_args = [
         "verify", "--out", str(tmp_path / "feedback"),
         "--set", "verify.mode=feedback", "--set", "verify.constant_law=1.0",
-        "--set", "verify.tables=surface",
         "--set", "mc.start_time=0.0", "--set", "mc.start_state=1.0",
         "--set", "mc.paths=20000", "--set", "mc.steps=100",
         "--set", "pde.t_steps=200", "--set", "pde.x_steps=100"]

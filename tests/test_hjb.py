@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rfbsde import (BackwardSolverError, ConfigError, SpaceTimeGrid,
-                    extract_feedback, hamiltonian_minima, inf_hamiltonian, residual,
-                    solve_obstacle_hjb)
-from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv, write_surface_csv
+                    extract_feedback, inf_hamiltonian, residual, solve_obstacle_hjb)
+from rfbsde.hjb import candidate_surface, coefficients, write_grid_csv
 from rfbsde.model import (ControlModel, ControlSet, example_classical, example_viscosity,
                           random_lipschitz_model)
 
@@ -265,14 +264,6 @@ def test_kink_column_takes_slope_midpoint():
     assert np.all(wxx[:, kink] == 0.0)
 
 
-def test_surface_csv_deterministic(tmp_path, zero_surface):
-    _, surface = zero_surface
-    p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    write_surface_csv(surface, p1)
-    write_surface_csv(surface, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_product_control_set_refused():
     # a product control set is refused when it is built, so
     # inf_hamiltonian cannot be handed one
@@ -515,12 +506,10 @@ def test_kinked_derivative_tables_pinned():
 ], ids=["random-3-penalty", "candidate-viscosity", "computed-kinked"])
 def test_residual_and_law_pinned(make_model, make_surface, digests):
     # sha256 of the residual field and law table as separate passes over the
-    # derivative and expansion triples gave them; one shared pass
-    # (hamiltonian_minima) keeps every bit, the kink columns included
+    # derivative and expansion triples gave them; reading the shared grid
+    # minima (hamiltonian_minima) keeps every bit, the kink columns included
     model = make_model()
     surface = make_surface(model)
-    minima = hamiltonian_minima(surface, model)
-    for res, law in ((residual(surface, model), extract_feedback(surface, model)),
-                     (residual(surface, model, minima), extract_feedback(surface, model, minima))):
-        got = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (res, law.table))
-        assert got == digests
+    res, law = residual(surface, model), extract_feedback(surface, model)
+    got = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (res, law.table))
+    assert got == digests
