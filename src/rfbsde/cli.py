@@ -56,8 +56,7 @@ DEFAULTS = {
                "battery_random": 20, "battery_switches": 8,
                "membership_times": 16, "membership_paths": 64,
                "node_samples": 64},
-    "assumptions": {"t_min": 0.0, "t_max": 1.0, "x_min": -5.0, "x_max": 5.0,
-                    "points": 9},
+    "assumptions": {"x_min": -5.0, "x_max": 5.0, "points": 9},
     "output": {"directory": "out"},
 }
 
@@ -470,7 +469,7 @@ def cmd_cost(cfg):
     start_state = _num(cfg, "mc.start_state")
     with run.stage("cost"):
         if method == "feedback":
-            law = extract_feedback(_surface_for(cfg, model, "verify.surface"), model)
+            law = extract_feedback(_surface_for(cfg, model, "pde.surface"), model)
         else:
             law = FeedbackLaw.constant(u0, model.control_set)
         if method == "tree":
@@ -551,10 +550,10 @@ def cmd_verify(cfg):
 
 
 def cmd_assumptions(cfg):
+    """Sample the model's assumptions on [0, horizon] x the state box."""
     run = _Run(cfg, "assumptions")
     model = _model_from(cfg)
-    probe = ProbeGrid(time_bounds=(_num(cfg, "assumptions.t_min"),
-                                   _num(cfg, "assumptions.t_max")),
+    probe = ProbeGrid(time_bounds=(0.0, model.horizon),
                       state_bounds=(_num(cfg, "assumptions.x_min"),
                                     _num(cfg, "assumptions.x_max")),
                       points=_num(cfg, "assumptions.points", int))
@@ -575,7 +574,6 @@ _PAPER_PRESETS = {
         "pde": {"t_steps": 4000, "x_steps": 200, "x_min": 0.1, "x_max": 5.0},
         "mc": {"paths": 20000, "steps": 100, "start_state": 1.0},
         "verify": {"mode": "classical", "battery_random": 5},
-        "assumptions": {"x_min": -5.0, "x_max": 5.0},
     },
     "5.2": {
         "model": {"name": "example-viscosity"},

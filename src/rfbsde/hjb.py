@@ -19,10 +19,11 @@ requested time steps above the bound are split into internal substeps.
 
 Both schemes are streams of time rows from the horizon down
 (:func:`surface_rows`), which :func:`solve_obstacle_hjb` collects.  The
-Hamiltonian minima and the residual are built on per-row steps that read
-at most three neighbouring rows, so a consumer of the stream (``rfbsde
-solve``) takes them as the rows arrive and keeps no full-grid Hamiltonian
-table.
+Hamiltonian minima and the residual are per-row steps (:class:`_RowSteps`)
+that read at most three neighbouring rows: :func:`residual` and
+``synthesis.extract_feedback`` loop them over a collected surface, and a
+consumer of the stream (``rfbsde solve``) takes them as the rows arrive.
+None keeps a full-grid Hamiltonian table.
 """
 
 import functools
@@ -100,7 +101,7 @@ class ValueSurface:
     ``exact_form`` is set for a model's closed-form value function (see
     :func:`candidate_surface`); when present, off-grid evaluation uses the
     form itself instead of bilinear interpolation.  ``kink_columns`` are state columns where the
-    surface is declared non-differentiable: :meth:`expansion_tables` takes
+    surface is declared non-differentiable: :meth:`expansion_rows` takes
     the one-sided slope midpoint and zero curvature there, :func:`residual`
     reports NaN there, and the classical verification route refuses the
     surface.
@@ -138,18 +139,15 @@ class ValueSurface:
                + at * (1 - ax) * v[ti + 1, xi] + at * ax * v[ti + 1, xi + 1])
         return out if out.shape else float(out)
 
-    def expansion_tables(self):
-        """(w_t, w_x, w_xx) at every node, as whole-grid tables.
+    def expansion_rows(self, rows):
+        """(w_t, w_x, w_xx) at the time rows ``rows`` (an integer array), one
+        table row per entry; each w_t row is built from the three value rows
+        its stencil reads.
 
         Central differences at interior nodes, one-sided second order at
-        the edges; at a declared kink column the gradient table takes the
-        midpoint of the one-sided slopes and the curvature table zero.
+        the edges; at a declared kink column the gradient takes the
+        midpoint of the one-sided slopes and the curvature zero.
         """
-        return self._expansion_rows(np.arange(self.grid.t_steps + 1))
-
-    def _expansion_rows(self, rows):
-        """(w_t, w_x, w_xx) of :meth:`expansion_tables` at the time rows
-        ``rows`` only, each w_t from the three rows its stencil reads."""
         v = self.values
         start = np.clip(rows - 1, 0, len(v) - 3)
         wt = _first_difference(v[start[:, None] + np.arange(3)], self.grid.dt, axis=1)
@@ -159,7 +157,7 @@ class ValueSurface:
 
 def _space_derivatives(w, dx, kink_columns):
     """(w_x, w_xx) of the value rows ``w`` (state along the last axis),
-    with the kink-column rule of :meth:`ValueSurface.expansion_tables`."""
+    with the kink-column rule of :meth:`ValueSurface.expansion_rows`."""
     n = w.shape[-1]
     wx, wxx = _first_difference(w, dx), _second_difference(w, dx)
     for j in kink_columns:
@@ -473,9 +471,10 @@ def _implicit_rows(model, grid, penalty_level):
 
 
 class _RowSteps:
-    """The per-row steps of :func:`hamiltonian_minima` and :func:`residual`
-    on the value table ``values`` of one grid and model, with the grids and
-    buffers built once.
+    """The per-row Hamiltonian minima and residual steps on the value table
+    ``values`` of one grid and model, with the grids and buffers built once.
+    :func:`residual`, ``synthesis.extract_feedback`` and ``rfbsde solve``
+    each loop them over the rows.
 
     ``minima(i, ...)`` reads value row ``i`` and ``residual(i, ...)`` rows
     ``i - 1`` to ``i + 1``, so a caller filling ``values`` from the horizon
@@ -511,36 +510,18 @@ class _RowSteps:
             out[self.kinks] = np.nan
 
 
-def hamiltonian_minima(surface, model):
-    """(H_min, u_min) at every node of ``surface``: the grid minimum of the
-    Hamiltonian over controls and its canonical minimizer.
-
-    H is taken at the gradient and curvature of
-    :meth:`ValueSurface.expansion_tables`.  Ties within
-    1e-12 * (1 + |minimum|) resolve to the smallest control on the grid, as
-    in :func:`inf_hamiltonian`.  :func:`residual` reads H_min and
-    ``extract_feedback`` u_min.
-    """
-    steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
-    wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
-    hmin = np.empty_like(surface.values)
-    umin = np.empty_like(surface.values)
-    for i in range(len(hmin)):
-        hmin[i], umin[i] = steps.minima(i, wx[i], wxx[i])
-    return hmin, umin
-
-
 def residual(surface, model):
     """max{W - h, -W_t - inf_u H} at interior nodes; NaN elsewhere.
 
     For a valid solution the field is nonpositive up to discretization error,
-    with the PDE branch vanishing wherever the barrier is slack.
+    with the PDE branch vanishing wherever the barrier is slack.  H is taken
+    at the gradient and curvature of :meth:`ValueSurface.expansion_rows`.
     """
-    hmin = hamiltonian_minima(surface, model)[0]
     steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
+    wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
     out = np.full_like(surface.values, np.nan)
     for i in range(1, surface.grid.t_steps):
-        steps.residual(i, hmin[i], out[i])
+        steps.residual(i, steps.minima(i, wx[i], wxx[i])[0], out[i])
     return out
 
 

@@ -72,14 +72,12 @@ class OpenLoopControl:
     def from_function(cls, fn):
         return cls(kind="time", fn=fn)
 
-    def values_at(self, t, n_paths):
-        if self.kind == "constant":
-            return np.full(n_paths, self.value)
-        return np.full(n_paths, float(self.fn(t)))
-
     def all_values(self, grid):
-        """Every value the control will take on this grid (admissibility sweep)."""
-        return np.array([self.values_at(t, 1)[0] for t in grid.nodes[:-1]])
+        """The control's value on each interval of the grid, in node order."""
+        nodes = grid.nodes[:-1]
+        if self.kind == "constant":
+            return np.full(len(nodes), self.value)
+        return np.array([float(self.fn(t)) for t in nodes])
 
 
 @dataclass(frozen=True)

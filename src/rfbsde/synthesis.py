@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import hamiltonian_minima
+from .hjb import _RowSteps, _space_derivatives
 from .rbsde import SolverConfig, _node0_estimate
 from .simulate import OpenLoopControl, simulate_closed_loop, simulate_paths
 
@@ -54,10 +54,16 @@ class FeedbackLaw:
 def extract_feedback(surface, model):
     """Canonical Hamiltonian minimizer at every surface node.
 
-    Ties within 1e-12 * (1 + |min|) resolve to the smallest control on the
-    grid, so the table is deterministic.
+    H is taken at the gradient and curvature of
+    ``ValueSurface.expansion_rows``.  Ties within 1e-12 * (1 + |min|)
+    resolve to the smallest control on the grid, as in ``inf_hamiltonian``,
+    so the table is deterministic.
     """
-    _, table = hamiltonian_minima(surface, model)
+    steps = _RowSteps(model, surface.grid, surface.values, surface.kink_columns)
+    wx, wxx = _space_derivatives(surface.values, surface.grid.dx, surface.kink_columns)
+    table = np.empty_like(surface.values)
+    for i in range(len(table)):
+        table[i] = steps.minima(i, wx[i], wxx[i])[1]
     return FeedbackLaw(table=table, grid=surface.grid, control_set=model.control_set,
                        provenance=extracted_provenance(surface.provenance, model.control_set))
 

@@ -32,7 +32,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -95,16 +95,7 @@ class VerificationReport:
         return lines
 
     def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "status": self.status,
-            "fingerprint": self.fingerprint,
-            "conditions": [
-                {"name": c.name, "slack": c.slack, "tolerance": c.tolerance,
-                 "status": c.status, "detail": c.detail, "terms": c.terms}
-                for c in self.conditions],
-            "extras": self.extras,
-        }
+        return {**asdict(self), "status": self.status}
 
 
 def _band(name, gap, stderr, tolerance, detail="", **budget):
@@ -515,15 +506,6 @@ class SurfaceRegularityReport:
     max_second_difference: float
     kink_second_difference: Optional[float]
 
-    @property
-    def passed_time(self):
-        return math.isfinite(self.time_constant)
-
-    @property
-    def passed_semiconcave(self):
-        return (math.isfinite(self.semiconcavity_constant)
-                and self.max_second_difference <= 2.0 * self.semiconcavity_constant + 1e-12)
-
 
 def check_surface_regularity(surface, delta):
     """Measured growth-weighted time-Lipschitz and semiconcavity constants.
@@ -571,7 +553,7 @@ def tables_from_surface(surface):
     def triple(s, x):
         i, j = grid.nearest_node(s, x)
         rows, at = np.unique(i, return_inverse=True)
-        return tuple(t[at.reshape(i.shape), j] for t in surface._expansion_rows(rows))
+        return tuple(t[at.reshape(i.shape), j] for t in surface.expansion_rows(rows))
     return triple
 
 

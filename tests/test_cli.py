@@ -20,7 +20,7 @@ from rfbsde.cli import (DEFAULTS, cmd_assumptions, cmd_cost, cmd_solve, cmd_veri
 from rfbsde.errors import BackwardSolverError
 from rfbsde.hjb import (candidate_surface, residual, surface_csv_comments,
                         write_grid_csv)
-from rfbsde.model import build_model, example_classical
+from rfbsde.model import build_model, example_classical, validate_assumptions
 from rfbsde.rbsde import SolverConfig
 from rfbsde.synthesis import extract_feedback, law_csv_comments
 from rfbsde.verify import (MembershipProbe, VerifyConfig, build_control_battery,
@@ -285,7 +285,7 @@ def test_bad_sizes_refused(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--set", "pde.surface=candidate"],
-    ["cost", "--set", "cost.method=feedback"],     # verify.surface defaults to candidate
+    ["cost", "--set", "cost.method=feedback", "--set", "pde.surface=candidate"],
     ["verify"],
 ], ids=["solve", "cost-feedback", "verify"])
 def test_candidate_refused_for_model_without_form(tmp_path, capsys, argv):
@@ -710,7 +710,8 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
     # keys that no solver reads are not in the schema: unknown keys, exit 2
     for gone in ("penalty.n=50.0", "pde.boundary=extrap1", "solver.picard_iterations=3",
                  "pde.cfl=auto", "verify.control=1.0", "verify.tables=surface",
-                 "verify.triple.gradient=1.0"):
+                 "verify.triple.gradient=1.0", "assumptions.t_min=0",
+                 "assumptions.t_max=1"):
         code, _, err = run(capsys, ["solve", "--out", str(tmp_path), "--set", gone])
         assert code == 2
         assert err.startswith("ERROR[config]: unknown config key")
@@ -719,8 +720,8 @@ def test_estimator_and_penalty_keys(tmp_path, capsys):
 @pytest.mark.parametrize("argv, key", [
     (["solve", "--set", "pde.surface=bogus"], "pde.surface"),
     (["verify", "--set", "verify.surface=nonsense"], "verify.surface"),
-    (["cost", "--set", "cost.method=feedback", "--set", "verify.surface=nonsense"],
-     "verify.surface"),
+    (["cost", "--set", "cost.method=feedback", "--set", "pde.surface=nonsense"],
+     "pde.surface"),
     (["verify", "--set", "verify.mode=bogus", "--set", "verify.surface=computed"],
      "verify.mode"),
     (["cost", "--set", "cost.method=bogus"], "cost.method"),
@@ -801,6 +802,21 @@ def test_every_default_key_is_read(tmp_path, capsys):
         assert command(_ReadRecorder(cfg, reads)) in (0, 1)
     capsys.readouterr()
     assert reads == set(_leaf_keys(DEFAULTS))
+
+
+@pytest.mark.parametrize("horizon", [0.5, 2.0])
+def test_assumption_probe_window_is_the_horizon(tmp_path, capsys, monkeypatch, horizon):
+    # the probe times are [0, T] of the model; no config key restates T
+    windows = []
+
+    def capture(model, probe, seed=0):
+        windows.append(probe.time_bounds)
+        return validate_assumptions(model, probe, seed=seed)
+    monkeypatch.setattr(cli, "validate_assumptions", capture)
+    code, _, _ = run(capsys, ["assumptions", "--out", str(tmp_path),
+                              "--set", f"model.horizon={horizon}"])
+    assert code == 0
+    assert windows == [(0.0, horizon)]
 
 
 def test_every_library_field_is_set_by_the_cli(monkeypatch):

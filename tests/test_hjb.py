@@ -245,7 +245,8 @@ def test_derivative_accessor_matches_closed_form():
                          t_steps=200, x_steps=100)
     cand = candidate_surface(example_classical(), grid)
     i, j = 100, 50
-    wt, wx, wxx = (float(table[i, j]) for table in cand.expansion_tables())
+    wt, wx, wxx = (float(table[i, j])
+                   for table in cand.expansion_rows(np.arange(grid.t_steps + 1)))
     t, x = grid.times[i], grid.xs[j]
     assert wt == pytest.approx(-2.0 * x * math.exp(2.0 * (1.0 - t)), rel=1e-3)
     assert wx == pytest.approx(math.exp(2.0 * (1.0 - t)), rel=1e-9)
@@ -257,7 +258,7 @@ def test_kink_column_takes_slope_midpoint():
                          t_steps=50, x_steps=40)
     cand = candidate_surface(example_viscosity(), grid)
     (kink,) = cand.kink_columns
-    _, wx, wxx = cand.expansion_tables()
+    _, wx, wxx = cand.expansion_rows(np.arange(grid.t_steps + 1))
     t = grid.times[10]
     # left slope e^{3(1-t)} (the grown branch), right slope 1
     assert wx[10, kink] == pytest.approx(0.5 * (math.exp(3.0 * (1.0 - t)) + 1.0), rel=1e-6)
@@ -485,7 +486,7 @@ def test_kinked_derivative_tables_pinned():
           "7126cbebdb89fac5b588f43a5a689330a2a539ed6f04bde3cb480da5a10b071f")))
     for surface, digests in cases:
         got = tuple(hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
-                    for t in surface.expansion_tables())
+                    for t in surface.expansion_rows(np.arange(surface.grid.t_steps + 1)))
         assert got == digests
 
 
@@ -506,8 +507,8 @@ def test_kinked_derivative_tables_pinned():
 ], ids=["random-3-penalty", "candidate-viscosity", "computed-kinked"])
 def test_residual_and_law_pinned(make_model, make_surface, digests):
     # sha256 of the residual field and law table as separate passes over the
-    # derivative and expansion triples gave them; reading the shared grid
-    # minima (hamiltonian_minima) keeps every bit, the kink columns included
+    # derivative and expansion triples gave them; the per-row grid minima
+    # keep every bit, the kink columns included
     model = make_model()
     surface = make_surface(model)
     res, law = residual(surface, model), extract_feedback(surface, model)

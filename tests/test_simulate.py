@@ -183,8 +183,9 @@ def test_time_control_is_one_shared_row(classical_model):
     assert ens.controls.shape == (50, grid.steps)
     assert ens.controls.strides == (0, 8)
     assert not ens.controls.flags.writeable
-    for i, t in enumerate(grid.nodes[:-1]):
-        assert np.array_equal(ens.controls[:, i], control.values_at(t, 50))
+    row = control.all_values(grid)
+    assert np.array_equal(row, 0.5 * grid.nodes[:-1])
+    assert np.array_equal(ens.controls[0], row)
 
 
 def test_control_outside_set_rejected(classical_model):

@@ -65,7 +65,7 @@ def test_selector_attains_the_infimum(viscosity_surface, viscosity_model):
     law = extract_feedback(viscosity_surface, viscosity_model)
     grid = viscosity_surface.grid
     u_grid = viscosity_model.control_set.points()
-    _, wx, wxx = viscosity_surface.expansion_tables()
+    _, wx, wxx = viscosity_surface.expansion_rows(np.arange(grid.t_steps + 1))
     for i in (0, grid.t_steps // 2):
         rows = _hamiltonian_grid(viscosity_model, grid.times[i],
                                  _state_control_tables(viscosity_model, grid.xs),
